@@ -16,6 +16,7 @@ package ideal
 import (
 	"fmt"
 
+	"valuepred/internal/isa"
 	"valuepred/internal/obs"
 	"valuepred/internal/predictor"
 	"valuepred/internal/trace"
@@ -36,15 +37,16 @@ type Config struct {
 	IncludeMemoryDeps bool
 	// MispredictPenalty is the extra delay, beyond normal producer-to-
 	// consumer forwarding, suffered by a consumer that speculated on a
-	// wrong value (Section 3: 0, instant reschedule).
+	// wrong value (Section 3: 0, instant reschedule). Run rejects values
+	// outside [0, 1024].
 	MispredictPenalty int
 	// OracleVP models the perfect value predictor of the Table 3.2
 	// walk-through: every value-producing instruction is predicted
 	// correctly. It overrides Predictor.
 	OracleVP bool
-	// Observer, when non-nil, is called as each instruction executes with
-	// its sequence number, fetch cycle and execute cycle (commit follows
-	// one cycle after execute).
+	// Observer, when non-nil, is called once per instruction, in fetch
+	// order, with its sequence number, fetch cycle and execute cycle
+	// (commit follows one cycle after execute).
 	Observer func(seq, fetchCycle, execCycle uint64)
 	// Obs, when non-nil, receives per-cycle stage occupancy and
 	// value-prediction outcomes. Strictly write-only: results are
@@ -97,218 +99,189 @@ func Speedup(base, r Result) float64 {
 	return (r.IPC()/base.IPC() - 1) * 100
 }
 
-// producerInfo is the bookkeeping for one in-flight (or executed) dynamic
-// instruction viewed as a producer.
-type producerInfo struct {
-	execCycle  uint64
-	done       bool
-	predicted  bool // confident prediction existed at fetch
-	correct    bool // ... and matched the actual value
-	usefulSeen bool // a consumer was decoupled by it (counted once)
+// maxPenalty is the largest MispredictPenalty Run accepts. It bounds the
+// clock's ring, which spans up to WindowSize×(1+penalty)+2 cycles.
+const maxPenalty = 1024
+
+// producer is the latest writer of a register, as its readers see it.
+type producer struct {
+	exec         uint64 // execute cycle
+	right, wrong bool   // its value was predicted correctly / wrongly
+	useful       uint64 // earliest execute cycle of a consumer it decoupled; 0 if none
 }
 
-// windowEntry is one instruction in flight.
-type windowEntry struct {
-	seq       uint64
-	fetchedAt uint64
-	earliest  uint64 // fetch cycle + 2 (pipeline depth)
-	availAt   uint64 // max availability over resolved operand constraints
-	prod      *producerInfo
-	waitOn    []*producerInfo // unpredicted in-flight producers
-	mispredOn []*producerInfo // consumed mispredictions, still in flight
-	specOn    []*producerInfo // correct predictions being speculated on
-}
-
-// ready reports whether the entry can execute at cycle.
-func (w *windowEntry) ready(cycle uint64) bool {
-	return len(w.waitOn) == 0 && len(w.mispredOn) == 0 &&
-		w.earliest <= cycle && w.availAt <= cycle
-}
-
-// addDep records one operand dependence on producer p, classifying it the
-// way the paper's protocol does: an already executed producer just bounds
-// availAt; a correctly predicted in-flight producer is speculated past; a
-// consumed misprediction delays until the real value arrives; everything
-// else is a plain wait. A method rather than a closure so the hot fetch
-// loop allocates nothing per instruction.
-func (w *windowEntry) addDep(p *producerInfo) {
+// readyAt returns the earliest cycle, as far as p is concerned, at which a
+// consumer fetched in cycle fetch may execute. A producer that executed by
+// the consumer's fetch constrains it no more than the pipeline depth does,
+// and a correctly predicted one does not constrain it at all.
+func (p *producer) readyAt(fetch, penalty uint64) uint64 {
 	switch {
-	case p == nil:
-		return
-	case p.done:
-		if at := p.execCycle + 1; at > w.availAt {
-			w.availAt = at
-		}
-	case p.predicted && p.correct:
-		w.specOn = append(w.specOn, p)
-	case p.predicted: // consumed misprediction
-		w.mispredOn = append(w.mispredOn, p)
-	default:
-		w.waitOn = append(w.waitOn, p)
+	case p.exec <= fetch || p.right:
+		return 0
+	case p.wrong:
+		return p.exec + 1 + penalty
 	}
+	return p.exec + 1
 }
 
-// resolve folds newly executed producers into availAt.
-func (w *windowEntry) resolve(penalty uint64) {
-	n := 0
-	for _, p := range w.waitOn {
-		if p.done {
-			if at := p.execCycle + 1; at > w.availAt {
-				w.availAt = at
-			}
-		} else {
-			w.waitOn[n] = p
-			n++
-		}
-	}
-	w.waitOn = w.waitOn[:n]
-	n = 0
-	for _, p := range w.mispredOn {
-		if p.done {
-			if at := p.execCycle + 1 + penalty; at > w.availAt {
-				w.availAt = at
-			}
-		} else {
-			w.mispredOn[n] = p
-			n++
-		}
-	}
-	w.mispredOn = w.mispredOn[:n]
+// slot holds one cycle's counts: the instructions that execute in it and
+// the correct predictions that first prove useful in it.
+type slot struct{ exec, useful int }
+
+// clock walks the run's cycles in order. It knows the current fetch cycle,
+// what was fetched in it and what is still unexecuted at its end, and
+// keeps a ring of per-cycle counts for the cycles ahead; with Obs set, it
+// reports each cycle to Obs as it closes.
+type clock struct {
+	now      uint64 // current fetch cycle
+	fetched  int    // instructions fetched in cycle now
+	inflight int    // instructions fetched by cycle now, executing after it
+	ring     []slot // slot k&(len-1) belongs to cycle k, for now <= k < now+len
+	o        *obs.Sink
 }
 
-// Run simulates the trace under cfg and returns the result.
+// at returns cycle k's slot (k >= now), growing the ring to reach it.
+func (c *clock) at(k uint64) *slot {
+	for k-c.now >= uint64(len(c.ring)) {
+		ring := make([]slot, max(2*len(c.ring), 64))
+		for i := c.now; i < c.now+uint64(len(c.ring)); i++ {
+			ring[i&uint64(len(ring)-1)] = c.ring[i&uint64(len(c.ring)-1)]
+		}
+		c.ring = ring
+	}
+	return &c.ring[k&uint64(len(c.ring)-1)]
+}
+
+// tick closes cycle now and opens the next one, retiring from the window
+// the instructions that execute in it. Closing reports the cycle to Obs:
+// the predictions that first proved useful in it, then its stage counts.
+// The ideal machine commits one cycle after execute; the commit count is
+// reported as the execute count for display purposes.
+func (c *clock) tick() {
+	s := c.at(c.now)
+	if c.o != nil {
+		for range s.useful {
+			c.o.VPUseful()
+		}
+		c.o.Cycle(c.now, c.fetched, s.exec, s.exec, c.inflight)
+	}
+	*s = slot{}
+	c.now++
+	c.fetched = 0
+	c.inflight -= c.at(c.now).exec
+}
+
+// Run simulates the trace under cfg and returns the result. Every latency
+// is one cycle, functional units are unlimited and a window slot frees when
+// its instruction executes, so each instruction's cycles follow from
+// values known when it is fetched, and Run computes them in one pass in
+// fetch order (DESIGN.md §7):
+//
+//   - it is fetched in the first cycle, no earlier than its predecessor's,
+//     that still has fetch bandwidth and a free window slot;
+//   - it executes at the latest of fetch+2, producer+1 for each operand
+//     whose in-flight producer was not predicted, and producer+1+penalty
+//     for each whose in-flight producer was mispredicted;
+//   - a correctly predicted in-flight producer adds no constraint, and
+//     counts once in Used if some consumer executes no later than it does.
 func Run(src trace.Source, cfg Config) (Result, error) {
-	if cfg.FetchWidth <= 0 || cfg.WindowSize <= 0 {
+	if cfg.FetchWidth <= 0 || cfg.WindowSize <= 0 ||
+		cfg.MispredictPenalty < 0 || cfg.MispredictPenalty > maxPenalty {
 		return Result{}, fmt.Errorf("ideal: invalid config %+v", cfg)
 	}
 	var res Result
-	// All per-run state comes out of a pooled scratch (scratch.go): the
-	// window entries, the producer bookkeeping and the memory-producer map
-	// are reused across runs instead of reallocated per instruction.
-	s := getScratch()
+	s := getScratch() // the store map and the ring's array, reused across runs
 	defer putScratch(s)
-	var regProd [32]*producerInfo
-	memProd := s.memProd
-	window := s.window[:0]
+	var regs [32]producer
 	penalty := uint64(cfg.MispredictPenalty)
+	clk := clock{now: 1, ring: s.ring, o: cfg.Obs} // Obs is nil when disabled
 
-	o := cfg.Obs // nil when instrumentation is disabled
-
-	var cycle uint64 = 1
-	eof := false
 	for {
-		// Execute phase: every ready entry executes this cycle (unlimited
-		// functional units). Entries are in fetch order, so a producer
-		// executing this cycle is marked done before later consumers in
-		// the same sweep — a same-cycle consumer counts as decoupled.
-		executed := 0
-		n := 0
-		for _, w := range window {
-			w.resolve(penalty)
-			if w.ready(cycle) {
-				w.prod.execCycle = cycle
-				w.prod.done = true
-				res.Insts++
-				executed++
-				if cfg.Observer != nil {
-					cfg.Observer(w.seq, w.fetchedAt, cycle)
-				}
-				for _, p := range w.specOn {
-					// Useful iff the producer had not finished strictly
-					// before this consumer executed.
-					if (!p.done || p.execCycle >= cycle) && !p.usefulSeen {
-						p.usefulSeen = true
-						res.Used++
-						if o != nil {
-							o.VPUseful()
-						}
-					}
-				}
-				// The entry leaves the window at execute; only its
-				// producerInfo (arena-owned) remains referenced.
-				s.entries.release(w)
-			} else {
-				window[n] = w
-				n++
-			}
-		}
-		window = window[:n]
-
-		// Fetch phase: up to FetchWidth instructions while the window has
-		// room; they may execute two cycles later.
-		fetched := 0
-		for f := 0; f < cfg.FetchWidth && len(window) < cfg.WindowSize && !eof; f++ {
-			rec, ok := src.Next()
-			if !ok {
-				eof = true
-				break
-			}
-			w := s.entries.alloc()
-			w.seq, w.fetchedAt, w.earliest = rec.Seq, cycle, cycle+2
-			w.prod = s.producers.alloc()
-
-			fetched++
-
-			if cfg.OracleVP && rec.WritesValue() {
-				w.prod.predicted = true
-				w.prod.correct = true
-				res.Attempted++
-				res.Correct++
-				if o != nil {
-					o.VPAttempt(true)
-				}
-			} else if cfg.Predictor != nil && rec.WritesValue() {
-				pr := cfg.Predictor.Lookup(rec.PC)
-				if pr.Confident {
-					w.prod.predicted = true
-					w.prod.correct = pr.Value == rec.Val
-					res.Attempted++
-					if w.prod.correct {
-						res.Correct++
-					}
-					if o != nil {
-						o.VPAttempt(w.prod.correct)
-					}
-				}
-				cfg.Predictor.Update(rec.PC, rec.Val)
-			}
-
-			if rec.Op.ReadsRs1() && rec.Rs1 != 0 {
-				w.addDep(regProd[rec.Rs1])
-			}
-			if rec.Op.ReadsRs2() && rec.Rs2 != 0 {
-				w.addDep(regProd[rec.Rs2])
-			}
-			if cfg.IncludeMemoryDeps && rec.Op.IsLoad() {
-				w.addDep(memProd[rec.Addr])
-			}
-
-			if rec.WritesValue() {
-				regProd[rec.Rd] = w.prod
-			}
-			if cfg.IncludeMemoryDeps && rec.Op.IsStore() {
-				memProd[rec.Addr] = w.prod
-			}
-			window = append(window, w)
-		}
-
-		if o != nil {
-			// The ideal machine commits one cycle after execute; the commit
-			// count is reported as the execute count for display purposes.
-			o.Cycle(cycle, fetched, executed, executed, len(window))
-		}
-
-		if eof && len(window) == 0 {
+		rec, ok := src.Next()
+		if !ok {
 			break
 		}
-		cycle++
+		for clk.fetched == cfg.FetchWidth || clk.inflight >= cfg.WindowSize {
+			clk.tick()
+		}
+		fetch := clk.now
+		clk.fetched++
+
+		// Value prediction: looked up and updated at fetch.
+		var right, wrong bool
+		if cfg.OracleVP && rec.WritesValue() {
+			right = true
+		} else if cfg.Predictor != nil && rec.WritesValue() {
+			if pr := cfg.Predictor.Lookup(rec.PC); pr.Confident {
+				right, wrong = pr.Value == rec.Val, pr.Value != rec.Val
+			}
+			cfg.Predictor.Update(rec.PC, rec.Val)
+		}
+		if right || wrong {
+			res.Attempted++
+			if right {
+				res.Correct++
+			}
+			clk.o.VPAttempt(right)
+		}
+
+		// Operand registers. x0 stands in for an operand not read: regs[0]
+		// is never written, so it reads as a producer long executed.
+		var rs [2]isa.Reg
+		if rec.Op.ReadsRs1() {
+			rs[0] = rec.Rs1
+		}
+		if rec.Op.ReadsRs2() {
+			rs[1] = rec.Rs2
+		}
+		exec := fetch + 2
+		for _, r := range rs {
+			exec = max(exec, regs[r].readyAt(fetch, penalty))
+		}
+		if cfg.IncludeMemoryDeps && rec.Op.IsLoad() {
+			// Stores are never predicted; an absent address reads as 0.
+			exec = max(exec, s.stores[rec.Addr]+1)
+		}
+
+		// A correctly predicted producer that executes no earlier than
+		// this consumer decoupled it: it counts once in Used, and in the
+		// per-cycle counts at its earliest such consumer's cycle.
+		for _, r := range rs {
+			p := &regs[r]
+			if !p.right || exec > p.exec || (p.useful != 0 && p.useful <= exec) {
+				continue
+			}
+			if p.useful == 0 {
+				res.Used++
+			} else {
+				clk.at(p.useful).useful--
+			}
+			clk.at(exec).useful++
+			p.useful = exec
+		}
+
+		if rec.WritesValue() {
+			regs[rec.Rd] = producer{exec: exec, right: right, wrong: wrong}
+		}
+		if cfg.IncludeMemoryDeps && rec.Op.IsStore() {
+			s.stores[rec.Addr] = exec
+		}
+		clk.at(exec).exec++
+		clk.inflight++
+		res.Insts++
+		if cfg.Observer != nil {
+			cfg.Observer(rec.Seq, fetch, exec)
+		}
 	}
-	res.Cycles = cycle
-	// Hand the (possibly grown) window backing store back to the scratch
-	// so the next run reuses its capacity.
-	s.window = window[:0]
-	if o != nil {
-		o.RunDone(res.Insts, res.Cycles, res.Correct, res.Used)
+	// The machine runs until its last instruction executes (an empty trace
+	// takes the one cycle that finds it empty); a last tick closes it.
+	for clk.inflight > 0 {
+		clk.tick()
 	}
+	res.Cycles = clk.now
+	clk.tick()
+	clk.o.RunDone(res.Insts, res.Cycles, res.Correct, res.Used)
+	// Hand the (possibly grown) ring back so the next run reuses it.
+	s.ring = clk.ring
 	return res, nil
 }

@@ -195,10 +195,11 @@ func TestMemoryDependencyEnforced(t *testing.T) {
 	}
 }
 
-func TestMispredictPenalty(t *testing.T) {
-	// A consumer of a hard-to-predict chain: penalties should increase
-	// cycles when the classifier consumes wrong values. Use a predictor
-	// without classification so mispredictions are consumed.
+// mispredictedChain is a 400-record trace of 200 producer/consumer pairs:
+// a chain of XORs with pseudo-random values, each read by one ADDI. A
+// predictor without a classifier mispredicts the XORs and its consumers
+// consume the wrong values.
+func mispredictedChain() []trace.Rec {
 	recs := make([]trace.Rec, 0, 400)
 	noise := uint64(12345)
 	for i := 0; i < 200; i++ {
@@ -208,6 +209,14 @@ func TestMispredictPenalty(t *testing.T) {
 			trace.Rec{Seq: uint64(2*i + 1), PC: 0x1004, Op: isa.ADDI, Rd: isa.T1, Rs1: isa.T0, Val: noise + 1},
 		)
 	}
+	return recs
+}
+
+func TestMispredictPenalty(t *testing.T) {
+	// A consumer of a hard-to-predict chain: penalties should increase
+	// cycles when the classifier consumes wrong values. Use a predictor
+	// without classification so mispredictions are consumed.
+	recs := mispredictedChain()
 	run := func(penalty int) uint64 {
 		cfg := DefaultConfig(8)
 		cfg.Predictor = predictor.NewStride() // always confident, mostly wrong
@@ -229,6 +238,22 @@ func TestInvalidConfig(t *testing.T) {
 	}
 	if _, err := Run(trace.NewSliceSource(nil), Config{FetchWidth: 4}); err == nil {
 		t.Error("zero window accepted")
+	}
+	// A negative penalty would wrap in the uint64 cycle arithmetic and let
+	// consumers execute before their producers; one above maxPenalty would
+	// let the cycle ring grow without a useful bound.
+	for _, penalty := range []int{-1, maxPenalty + 1} {
+		cfg := DefaultConfig(8)
+		cfg.Predictor = predictor.NewStride()
+		cfg.MispredictPenalty = penalty
+		if _, err := Run(trace.NewSliceSource(mispredictedChain()), cfg); err == nil {
+			t.Errorf("penalty %d accepted", penalty)
+		}
+	}
+	cfg := DefaultConfig(8)
+	cfg.MispredictPenalty = maxPenalty
+	if _, err := Run(trace.NewSliceSource(mispredictedChain()), cfg); err != nil {
+		t.Errorf("penalty %d rejected: %v", maxPenalty, err)
 	}
 }
 

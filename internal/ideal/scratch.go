@@ -3,127 +3,28 @@ package ideal
 import "sync"
 
 // This file is the ideal machine's memory discipline (DESIGN.md §12,
-// "Memory discipline"): every per-run allocation the simulation loop used
-// to make — one windowEntry and one producerInfo per dynamic instruction,
-// plus the dependence-list growth behind them — comes out of a reusable
-// scratch instead. A scratch is acquired per Run from a process-wide
-// sync.Pool, which caches per-P (i.e. effectively per plan worker), so a
-// worker that simulates cell after cell re-walks the same warmed arenas
-// instead of paying the allocator and the GC for every instruction. That
-// allocator fight is exactly what made the plan engine's parallel runs
-// *slower* than serial before this existed (BENCH_pr5.json's 0.92×
-// workers_speedup).
-//
-// Reset invariants (guarded by TestPooledScratchReuseIsDeterministic and
-// the alloc-budget tests):
-//
-//   - a scratch is fully reset at acquisition: arenas rewind to their
-//     first slot, the window is truncated, the memory-producer map is
-//     cleared — no value computed by one cell can reach the next;
-//   - entry fields are re-initialised at every alloc, keeping only slice
-//     *capacity* (the dependence lists are truncated to length zero);
-//   - producerInfo slots are zeroed at every alloc;
-//   - arena chunks are never reallocated, so a *producerInfo handed out
-//     earlier in the run stays valid while the run retains it (entries,
-//     regProd, memProd all hold such pointers);
-//   - nothing in a scratch is shared between two concurrent runs: Get
-//     hands each Run exclusive ownership until the matching Put.
+// "Memory discipline"). Run keeps its register producers in an array, so
+// the only per-run state it reuses is the store-address map and the
+// clock ring's backing array. They come from a process-wide sync.Pool,
+// which caches per-P (effectively per plan worker), so a worker reuses a
+// warmed map cell after cell: building it fresh in every run raised the
+// sec3 benchmark's peak RSS from about 41 to about 52 MB. A scratch is
+// fully reset at acquisition (map cleared, ring zeroed, capacity kept)
+// and owned by one Run until the matching Put.
 type scratch struct {
-	producers producerArena
-	entries   entryArena
-	window    []*windowEntry
-	memProd   map[uint64]*producerInfo
-}
-
-// Chunk sizes: producers live for the whole run (one per instruction), so
-// their chunks are large; entries recycle through the free list as soon as
-// they execute, so the entry arena's high-water mark tracks the window
-// size and a small chunk suffices.
-const (
-	producerChunk = 8192
-	entryChunk    = 256
-)
-
-// producerArena bump-allocates producerInfo values in fixed-size chunks.
-// Chunks are never reallocated or moved, so pointers into them remain
-// valid until the arena is reset; reset rewinds the bump cursor and the
-// chunks are overwritten (and re-zeroed at alloc) by the next run.
-type producerArena struct {
-	chunks [][]producerInfo
-	ci     int // chunk the cursor is in
-	used   int // slots used in chunks[ci]
-}
-
-func (a *producerArena) alloc() *producerInfo {
-	if a.ci == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]producerInfo, producerChunk))
-	}
-	p := &a.chunks[a.ci][a.used]
-	*p = producerInfo{}
-	a.used++
-	if a.used == producerChunk {
-		a.ci++
-		a.used = 0
-	}
-	return p
-}
-
-func (a *producerArena) reset() { a.ci, a.used = 0, 0 }
-
-// entryArena is a producer-style chunk allocator with a free list: an
-// entry goes back on the list the moment it leaves the window (it
-// executed; nothing references it any more — consumers reference its
-// producerInfo, which lives in the producer arena), and the next fetch
-// reuses it, dependence-list capacity included.
-type entryArena struct {
-	chunks [][]windowEntry
-	ci     int
-	used   int
-	free   []*windowEntry
-}
-
-func (a *entryArena) alloc() *windowEntry {
-	var w *windowEntry
-	if n := len(a.free); n > 0 {
-		w = a.free[n-1]
-		a.free = a.free[:n-1]
-	} else {
-		if a.ci == len(a.chunks) {
-			a.chunks = append(a.chunks, make([]windowEntry, entryChunk))
-		}
-		w = &a.chunks[a.ci][a.used]
-		a.used++
-		if a.used == entryChunk {
-			a.ci++
-			a.used = 0
-		}
-	}
-	w.seq, w.fetchedAt, w.earliest, w.availAt = 0, 0, 0, 0
-	w.prod = nil
-	w.waitOn = w.waitOn[:0]
-	w.mispredOn = w.mispredOn[:0]
-	w.specOn = w.specOn[:0]
-	return w
-}
-
-func (a *entryArena) release(w *windowEntry) { a.free = append(a.free, w) }
-
-func (a *entryArena) reset() {
-	a.ci, a.used = 0, 0
-	a.free = a.free[:0]
+	stores map[uint64]uint64 // store address → execute cycle of its latest store
+	ring   []slot            // backing array of the run's clock ring
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &scratch{memProd: make(map[uint64]*producerInfo)}
+	return &scratch{stores: make(map[uint64]uint64)}
 }}
 
 // getScratch returns a fully reset scratch with exclusive ownership.
 func getScratch() *scratch {
 	s := scratchPool.Get().(*scratch)
-	s.producers.reset()
-	s.entries.reset()
-	s.window = s.window[:0]
-	clear(s.memProd)
+	clear(s.stores)
+	clear(s.ring)
 	return s
 }
 

@@ -228,7 +228,8 @@ func (w *entry) resolve(valuePenalty uint64) {
 
 // Run simulates the trace delivered by eng under cfg.
 func Run(eng fetch.Engine, cfg Config) (Result, error) {
-	if cfg.Width <= 0 || cfg.WindowSize <= 0 || cfg.NumFUs <= 0 {
+	if cfg.Width <= 0 || cfg.WindowSize <= 0 || cfg.NumFUs <= 0 ||
+		cfg.BranchPenalty < 0 || cfg.ValuePenalty < 0 {
 		return Result{}, fmt.Errorf("pipeline: invalid config %+v", cfg)
 	}
 	if cfg.Predictor != nil && cfg.Network != nil {

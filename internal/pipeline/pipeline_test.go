@@ -23,6 +23,18 @@ func TestInvalidConfigs(t *testing.T) {
 	if _, err := Run(fetch.NewSequential(recs, btb.NewPerfect(), -1), cfg); err == nil {
 		t.Error("both Predictor and Network accepted")
 	}
+	// A negative penalty would wrap in the uint64 cycle arithmetic and let
+	// consumers run ahead of their producers.
+	for _, neg := range []func(*Config){
+		func(c *Config) { c.BranchPenalty = -1 },
+		func(c *Config) { c.ValuePenalty = -1 },
+	} {
+		cfg := DefaultConfig()
+		neg(&cfg)
+		if _, err := Run(fetch.NewSequential(recs, btb.NewPerfect(), -1), cfg); err == nil {
+			t.Errorf("negative penalty accepted: %+v", cfg)
+		}
+	}
 }
 
 func TestAllInstructionsRetire(t *testing.T) {
