@@ -15,7 +15,7 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the repository's own analyzers (aliaslint, ctxlint, detlint,
-# doclint, errlint, keyedlint, mutexlint, poollint — see DESIGN.md
+# doclint, errlint, keyedlint, poollint — see DESIGN.md
 # "Determinism contract & lint suite") over every package and fails on any
 # diagnostic.
 lint:

@@ -24,7 +24,6 @@ func TestKnownBadFixture(t *testing.T) {
 		{"doclint", "package main has no package doc comment"},
 		{"errlint", "error returned by stats.Load is discarded"},
 		{"keyedlint", "unkeyed fields in composite literal of Config"},
-		{"mutexlint", "receiver passes bad/use.Guarded by value"},
 		{"poollint", "field cursor of pooled scratch is not reset"},
 		{"lint", "suppression directive has no reason"},
 	} {
@@ -35,8 +34,8 @@ func TestKnownBadFixture(t *testing.T) {
 	if strings.Contains(got, "Suppressed") {
 		t.Errorf("the ignore directive did not suppress the marked loop:\n%s", got)
 	}
-	if !strings.Contains(err.Error(), "10 issue(s) found") {
-		t.Errorf("expected exactly 10 issues, got: %v", err)
+	if !strings.Contains(err.Error(), "9 issue(s) found") {
+		t.Errorf("expected exactly 9 issues, got: %v", err)
 	}
 }
 
@@ -71,7 +70,7 @@ func TestOnlySubset(t *testing.T) {
 	}
 }
 
-// TestListAnalyzers checks -list names the full eight-analyzer suite.
+// TestListAnalyzers checks -list names the full seven-analyzer suite.
 func TestListAnalyzers(t *testing.T) {
 	var out, errBuf strings.Builder
 	if err := run([]string{"-list"}, &out, &errBuf); err != nil {
@@ -79,11 +78,14 @@ func TestListAnalyzers(t *testing.T) {
 	}
 	for _, name := range []string{
 		"aliaslint", "ctxlint", "detlint", "doclint",
-		"errlint", "keyedlint", "mutexlint", "poollint",
+		"errlint", "keyedlint", "poollint",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())
 		}
+	}
+	if n := strings.Count(out.String(), "\n"); n != 7 {
+		t.Errorf("-list names %d analyzers, want 7:\n%s", n, out.String())
 	}
 }
 
@@ -95,8 +97,8 @@ func TestJSONOutput(t *testing.T) {
 	for i := range runs {
 		var out, errBuf strings.Builder
 		err := run([]string{"-C", "testdata/src", "-json", "./..."}, &out, &errBuf)
-		if err == nil || !strings.Contains(err.Error(), "10 issue(s) found") {
-			t.Fatalf("run %d: expected 10 issues, got err=%v", i, err)
+		if err == nil || !strings.Contains(err.Error(), "9 issue(s) found") {
+			t.Fatalf("run %d: expected 9 issues, got err=%v", i, err)
 		}
 		runs[i] = out.String()
 	}
@@ -120,8 +122,8 @@ func TestJSONOutput(t *testing.T) {
 	if report.Version != 1 {
 		t.Errorf("schema version = %d, want 1", report.Version)
 	}
-	if report.Count != len(report.Diagnostics) || report.Count != 10 {
-		t.Errorf("count = %d, len(diagnostics) = %d, want 10", report.Count, len(report.Diagnostics))
+	if report.Count != len(report.Diagnostics) || report.Count != 9 {
+		t.Errorf("count = %d, len(diagnostics) = %d, want 9", report.Count, len(report.Diagnostics))
 	}
 	for _, d := range report.Diagnostics {
 		if strings.HasPrefix(d.File, "/") || strings.Contains(d.File, "\\") {
@@ -143,7 +145,7 @@ func TestHelpExitsClean(t *testing.T) {
 	usage := errBuf.String()
 	for _, name := range []string{
 		"aliaslint", "ctxlint", "detlint", "doclint",
-		"errlint", "keyedlint", "mutexlint", "poollint",
+		"errlint", "keyedlint", "poollint",
 	} {
 		if !strings.Contains(usage, name) {
 			t.Errorf("-h usage missing analyzer %s:\n%s", name, usage)

@@ -1,17 +1,7 @@
-// Package use trips errlint, keyedlint and mutexlint.
+// Package use trips errlint and keyedlint.
 package use
 
-import (
-	"sync"
-
-	"bad/internal/stats"
-)
-
-// Guarded carries a mutex.
-type Guarded struct {
-	mu sync.Mutex
-	n  int
-}
+import "bad/internal/stats"
 
 // Drop violates errlint: the stats error is discarded.
 func Drop() {
@@ -22,6 +12,3 @@ func Drop() {
 func Unkeyed() stats.Config {
 	return stats.Config{16, 40} // keyedlint fires here
 }
-
-// Copy violates mutexlint: the receiver copies the mutex.
-func (g Guarded) Copy() int { return g.n } // mutexlint fires here

@@ -31,7 +31,6 @@ import (
 	"valuepred/internal/lint/errlint"
 	"valuepred/internal/lint/keyedlint"
 	"valuepred/internal/lint/loader"
-	"valuepred/internal/lint/mutexlint"
 	"valuepred/internal/lint/poollint"
 )
 
@@ -44,7 +43,6 @@ func Analyzers() []*analysis.Analyzer {
 		doclint.Analyzer,
 		errlint.Analyzer,
 		keyedlint.Analyzer,
-		mutexlint.Analyzer,
 		poollint.Analyzer,
 	}
 }

@@ -13,7 +13,7 @@ import "strings"
 
 // Contract names. Each analyzer that is package-scoped declares which
 // contract bounds it; analyzers that apply structurally everywhere
-// (doclint, keyedlint, mutexlint) need no entry.
+// (doclint, keyedlint) need no entry.
 const (
 	// Determinism binds the simulation packages whose outputs must be
 	// bit-reproducible (detlint), and which therefore also carry the
