@@ -300,8 +300,9 @@ func (want outcome) diff(got outcome) string {
 // compare runs Run and the oracle on recs under cfg, each with a fresh
 // predictor from newPred (nil for none), and reports any difference: Run
 // must match the oracle with Obs set and its Result and timings with Obs
-// nil, which takes the uninstrumented path.
-func compare(t testing.TB, recs []trace.Rec, cfg Config, newPred func() predictor.Predictor) {
+// nil, which takes the uninstrumented path. label names the trace and
+// predictor in failure messages.
+func compare(t testing.TB, label string, recs []trace.Rec, cfg Config, newPred func() predictor.Predictor) {
 	t.Helper()
 	with := func(cfg Config) Config {
 		if newPred != nil {
@@ -309,13 +310,15 @@ func compare(t testing.TB, recs []trace.Rec, cfg Config, newPred func() predicto
 		}
 		return cfg
 	}
+	label = fmt.Sprintf("%s width=%d window=%d penalty=%d mem=%v oracleVP=%v", label,
+		cfg.FetchWidth, cfg.WindowSize, cfg.MispredictPenalty, cfg.IncludeMemoryDeps, cfg.OracleVP)
 	want := observe(t, oracleRun, recs, with(cfg), true)
 	if d := want.diff(observe(t, Run, recs, with(cfg), true)); d != "" {
-		t.Errorf("%+v: %s", cfg, d)
+		t.Errorf("%s: %s", label, d)
 	}
 	want.metrics, want.trace = "", ""
 	if d := want.diff(observe(t, Run, recs, with(cfg), false)); d != "" {
-		t.Errorf("%+v without Obs: %s", cfg, d)
+		t.Errorf("%s without Obs: %s", label, d)
 	}
 }
 
@@ -351,7 +354,7 @@ func TestRunMatchesOracle(t *testing.T) {
 							cfg.OracleVP = p.oracle
 							cfg.MispredictPenalty = penalty
 							cfg.IncludeMemoryDeps = mem
-							compare(t, recs, cfg, p.new)
+							compare(t, name+"/"+p.name, recs, cfg, p.new)
 						}
 					}
 				}
@@ -361,10 +364,11 @@ func TestRunMatchesOracle(t *testing.T) {
 }
 
 // FuzzRunMatchesOracle feeds random traces through both engines: loads and
-// stores on four addresses, ALU operations on four registers, values from
-// a small set so that the stride predictor is sometimes right, and a
-// random fetch width, window size and penalty. The stride predictor
-// without a classifier consumes many mispredictions.
+// stores on four addresses, ALU operations and branches on four registers
+// (x0 among them), values from a small set so that the stride predictor is
+// sometimes right, and a random fetch width, window size, penalty and
+// predictor. The stride predictor without a classifier consumes many
+// mispredictions.
 func FuzzRunMatchesOracle(f *testing.F) {
 	f.Add([]byte{0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99}, uint8(4), uint8(8), uint8(0), uint8(1))
 	f.Add([]byte("a long chain of dependent records with stores and loads"), uint8(1), uint8(2), uint8(3), uint8(2))
@@ -387,7 +391,7 @@ func FuzzRunMatchesOracle(f *testing.F) {
 			IncludeMemoryDeps: mode&1 == 0,
 		}
 		var newPred func() predictor.Predictor
-		switch mode >> 1 % 4 {
+		switch (mode >> 1) % 4 {
 		case 1:
 			newPred = func() predictor.Predictor { return predictor.NewStride() }
 		case 2:
@@ -395,6 +399,6 @@ func FuzzRunMatchesOracle(f *testing.F) {
 		case 3:
 			cfg.OracleVP = true
 		}
-		compare(t, recs, cfg, newPred)
+		compare(t, "fuzz", recs, cfg, newPred)
 	})
 }

@@ -12,16 +12,16 @@ import (
 	"time"
 )
 
-type producerInfo struct{ execCycle uint64 }
+type entry struct{ execCycle uint64 }
 
 type scratch struct {
-	free    []*producerInfo
-	memProd map[uint64]*producerInfo
+	free    []*entry
+	memProd map[uint64]*entry
 	stamp   time.Duration
 }
 
 var pool = sync.Pool{New: func() any {
-	return &scratch{memProd: make(map[uint64]*producerInfo)}
+	return &scratch{memProd: make(map[uint64]*entry)}
 }}
 
 // badStampedGet stamps the scratch with wall-clock time — reporting
@@ -43,8 +43,8 @@ func badDrainReset(s *scratch) {
 }
 
 // badJitteredAlloc sizes a chunk from the global rand source.
-func badJitteredAlloc() []producerInfo {
-	return make([]producerInfo, 64+rand.Intn(64)) // want `math/rand\.Intn draws from the package-global source`
+func badJitteredAlloc() []entry {
+	return make([]entry, 64+rand.Intn(64)) // want `math/rand\.Intn draws from the package-global source`
 }
 
 // goodClearReset is the discipline the real scratches follow: clear the

@@ -18,10 +18,11 @@ import (
 // byte-compares every render. The first pass runs on the freshest pool
 // this process can offer; the later passes run on scratches dirtied by
 // the pass before — recycled arenas, grown dependence lists, populated
-// free lists. Any stale scratch state leaking between cells shows up as a
-// diff; under `make race` the same hammer doubles as a data-race probe on
-// the pool itself. fig3.1 covers the ideal machine's scratch, fig5.3 the
-// pipeline scratch plus the network's reused group buffers.
+// free lists, filled store maps and cycle rings. Any stale scratch state
+// leaking between cells shows up as a diff; under `make race` the same
+// hammer doubles as a data-race probe on the pool itself. fig3.1 covers
+// the ideal machine's scratch (its store-address map and cycle ring),
+// fig5.3 the pipeline scratch plus the network's reused group buffers.
 func TestPooledScratchReuseIsDeterministic(t *testing.T) {
 	p := DefaultParams()
 	p.TraceLen = 4_000
@@ -61,8 +62,9 @@ func TestPooledScratchReuseIsDeterministic(t *testing.T) {
 
 // TestAllocBudgetPerCell pins the per-cell allocation count with
 // testing.AllocsPerRun. The budgets are deliberately loose multiples of
-// the measured steady state (ideal ~23, network machine ~1100, sequential
-// machine ~1 for a 20k-instruction trace) but far below one allocation
+// the measured steady state (ideal ~24, nearly all of them the predictor's
+// tables, network machine ~1100, sequential machine ~1 for a
+// 20k-instruction trace) but far below one allocation
 // per instruction — before the pooled scratches the same runs cost ~2.8
 // allocations per instruction (~56k per run at this trace length), so any
 // reintroduced per-instruction allocation fails immediately.
