@@ -35,13 +35,15 @@ type Config struct {
 	NumFUs int
 	// BranchPenalty is the misprediction redirect bubble in cycles
 	// (paper: 3): fetch resumes at the branch's execute cycle + penalty.
+	// Run rejects a negative value.
 	BranchPenalty int
 	// ValuePenalty is the extra reschedule delay, beyond the normal
 	// one-cycle forwarding, for a consumer that speculated on a wrong
 	// value. The paper's "1 cycle value misprediction penalty" is the
 	// reschedule happening one cycle after the correct value is produced,
 	// i.e. normal forwarding latency, so the default is 0; set 1+ to model
-	// a costlier recovery (see the ablation benchmarks).
+	// a costlier recovery (see the ablation benchmarks). Run rejects a
+	// negative value.
 	ValuePenalty int
 	// HoldUntilCommit makes an instruction occupy its window slot until
 	// in-order commit (ROB semantics) instead of freeing it at execute
