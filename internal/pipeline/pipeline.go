@@ -86,10 +86,7 @@ func (cfg Config) latencyOf(op isa.Opcode) uint64 {
 	case op == isa.DIV || op == isa.REM:
 		lat = cfg.DivLatency
 	}
-	if lat < 1 {
-		lat = 1
-	}
-	return uint64(lat)
+	return uint64(max(lat, 1))
 }
 
 // DefaultConfig returns the paper's Section 5 machine without value
@@ -155,355 +152,272 @@ func Speedup(base, r Result) float64 {
 	return (r.IPC()/base.IPC() - 1) * 100
 }
 
-type producerInfo struct {
-	execCycle  uint64
-	resultAt   uint64 // cycle the value becomes forwardable (exec + latency)
-	done       bool
-	predicted  bool
-	correct    bool
-	usefulSeen bool
+// maxLatency is the largest ValuePenalty, LoadLatency, MulLatency and
+// DivLatency Run accepts: they bound how far past its fetch an instruction
+// can execute, and so the span of the clock's ring.
+const maxLatency = 1024
+
+// producer is the latest writer of a register, as its readers see it.
+type producer struct {
+	exec, result uint64 // execute cycle; cycle its value is forwardable (exec + latency)
+	right, wrong bool   // its value was predicted correctly / wrongly
+	useful       uint64 // earliest execute cycle of a consumer it decoupled; 0 if none
 }
 
-type entry struct {
-	rec       trace.Rec
-	earliest  uint64
-	availAt   uint64
-	executed  bool
-	left      bool // removed from the window (recycling gate, see scratch.go)
-	execCycle uint64
-	prod      *producerInfo
-	waitOn    []*producerInfo
-	mispredOn []*producerInfo
-	specOn    []*producerInfo
-}
-
-// addDep records one operand dependence on producer p (a method rather
-// than a closure so ingest allocates nothing per instruction).
-func (w *entry) addDep(p *producerInfo) {
+// readyAt returns the earliest cycle, as far as p is concerned, at which a
+// consumer fetched in cycle fetch may execute. A producer that executed by
+// the consumer's fetch binds it no more than the pipeline depth does, and
+// a correctly predicted one does not constrain it at all.
+func (p *producer) readyAt(fetch, penalty uint64) uint64 {
 	switch {
-	case p == nil:
-		return
-	case p.done:
-		if at := p.execCycle + 1; at > w.availAt {
-			w.availAt = at
-		}
-	case p.predicted && p.correct:
-		w.specOn = append(w.specOn, p)
-	case p.predicted:
-		w.mispredOn = append(w.mispredOn, p)
-	default:
-		w.waitOn = append(w.waitOn, p)
+	case p.exec <= fetch || p.right:
+		return 0
+	case p.wrong:
+		return p.result + penalty
 	}
+	return p.result
 }
 
-func (w *entry) ready(cycle uint64) bool {
-	return !w.executed && len(w.waitOn) == 0 && len(w.mispredOn) == 0 &&
-		w.earliest <= cycle && w.availAt <= cycle
+// slot holds one cycle's counts: the instructions that execute in it, those
+// that commit (and so leave the window) in it, and the correct predictions
+// that first prove useful in it.
+type slot struct{ exec, commit, useful int }
+
+// clock walks the run's cycles in order. It knows the current fetch cycle,
+// what was fetched in it and what is in the window at its end, and keeps
+// a ring of per-cycle counts for the cycles ahead; with Obs set, it
+// reports each cycle to Obs as it closes.
+type clock struct {
+	now       uint64 // current fetch cycle
+	fetched   int    // instructions fetched in cycle now
+	inflight  int    // window occupancy: fetched by cycle now, not yet committed
+	occupancy uint64 // sum over the closed cycles of the occupancy before fetch
+	ring      []slot // slot k&(len-1) belongs to cycle k, for now <= k < now+len
+	o         *obs.Sink
 }
 
-func (w *entry) resolve(valuePenalty uint64) {
-	n := 0
-	for _, p := range w.waitOn {
-		if p.done {
-			if p.resultAt > w.availAt {
-				w.availAt = p.resultAt
-			}
-		} else {
-			w.waitOn[n] = p
-			n++
+// at returns cycle k's slot (k >= now), growing the ring to reach it.
+func (c *clock) at(k uint64) *slot {
+	for k-c.now >= uint64(len(c.ring)) {
+		ring := make([]slot, max(2*len(c.ring), 64))
+		for i := c.now; i < c.now+uint64(len(c.ring)); i++ {
+			ring[i&uint64(len(ring)-1)] = c.ring[i&uint64(len(c.ring)-1)]
 		}
+		c.ring = ring
 	}
-	w.waitOn = w.waitOn[:n]
-	n = 0
-	for _, p := range w.mispredOn {
-		if p.done {
-			if at := p.resultAt + valuePenalty; at > w.availAt {
-				w.availAt = at
-			}
-		} else {
-			w.mispredOn[n] = p
-			n++
-		}
-	}
-	w.mispredOn = w.mispredOn[:n]
+	return &c.ring[k&uint64(len(c.ring)-1)]
 }
 
-// Run simulates the trace delivered by eng under cfg.
+// tick closes cycle now and opens the next one, retiring from the window
+// the instructions that commit in it. Closing adds the cycle's occupancy
+// before fetch and reports the cycle to Obs: the predictions that first
+// proved useful in it, then its stage counts.
+func (c *clock) tick() {
+	s := c.at(c.now)
+	c.occupancy += uint64(c.inflight - c.fetched)
+	if c.o != nil {
+		for range s.useful {
+			c.o.VPUseful()
+		}
+		c.o.Cycle(c.now, c.fetched, s.exec, s.commit, c.inflight)
+	}
+	*s = slot{}
+	c.now++
+	c.fetched = 0
+	c.inflight -= c.at(c.now).commit
+}
+
+// machine is one run's state besides the fetch engine.
+type machine struct {
+	cfg        Config
+	res        Result
+	clk        clock
+	s          *scratch
+	regs       [32]producer
+	lastCommit uint64 // commit cycle of the youngest instruction, with HoldUntilCommit
+}
+
+// Run simulates the trace delivered by eng under cfg. Issue is oldest-first
+// and commit in order, so each instruction's cycles depend only on older
+// instructions, and Run computes them in one pass in fetch order
+// (DESIGN.md §7):
+//
+//   - a group is fetched in the first cycle after the previous group's, and
+//     not before the last mispredicted branch executes plus BranchPenalty,
+//     with a free window slot; it holds up to min(free slots, Width) records;
+//   - a record executes in the first cycle with a free functional unit at
+//     or after fetch+2 and the result cycle of each unpredicted in-flight
+//     producer (plus ValuePenalty for a mispredicted one); a correctly
+//     predicted one adds no constraint, and counts once in Used if a
+//     consumer executes before its result;
+//   - it leaves the window as it executes or, with HoldUntilCommit, at
+//     commit: the first cycle at or after exec+1 and the previous commit
+//     with fewer than Width commits.
 func Run(eng fetch.Engine, cfg Config) (Result, error) {
 	if cfg.Width <= 0 || cfg.WindowSize <= 0 || cfg.NumFUs <= 0 ||
-		cfg.BranchPenalty < 0 || cfg.ValuePenalty < 0 {
+		cfg.BranchPenalty < 0 || cfg.ValuePenalty < 0 ||
+		max(cfg.ValuePenalty, cfg.LoadLatency, cfg.MulLatency, cfg.DivLatency) > maxLatency {
 		return Result{}, fmt.Errorf("pipeline: invalid config %+v", cfg)
 	}
 	if cfg.Predictor != nil && cfg.Network != nil {
 		return Result{}, fmt.Errorf("pipeline: set either Predictor or Network, not both")
 	}
-	var res Result
-	// All per-run state comes out of a pooled scratch (scratch.go): window
-	// entries, producer bookkeeping, the memory-producer map and the
-	// network lookup buffers are reused across runs instead of being
-	// reallocated per instruction.
-	s := getScratch()
+	s := getScratch() // the store map, the ring's array and the lookup buffer
 	defer putScratch(s)
-	var regProd [32]*producerInfo
-	// window holds entries from fetch to commit, in program order.
-	window := s.window[:0]
-	valuePenalty := uint64(cfg.ValuePenalty)
-
-	o := cfg.Obs // nil when instrumentation is disabled
-	if o != nil {
-		fetch.Instrument(eng, o)
+	m := machine{cfg: cfg, s: s, clk: clock{now: 1, ring: s.ring, o: cfg.Obs}}
+	clk, res := &m.clk, &m.res
+	if cfg.Obs != nil { // nil when instrumentation is disabled
+		fetch.Instrument(eng, cfg.Obs)
 	}
 
-	var stallOn *entry // mispredicted control transfer gating fetch
-	var cycle uint64 = 1
-	eof := false
-
+	var resume uint64 // no fetch before the last mispredicted branch executes, plus the penalty
 	for {
-		// Commit: with ROB semantics, retire in order, up to Width per
-		// cycle, one cycle after execute.
-		committed := 0
-		if cfg.HoldUntilCommit {
-			for committed < len(window) && committed < cfg.Width {
-				head := window[committed]
-				if !head.executed || head.execCycle >= cycle {
-					break
-				}
-				committed++
-			}
-			if committed > 0 {
-				// Retire by compacting toward the front so the window's
-				// backing array (scratch-owned) never drifts; committed
-				// entries recycle unless the fetch stage still consults
-				// one as the stall gate.
-				for _, w := range window[:committed] {
-					w.left = true
-					if w != stallOn {
-						s.entries.release(w)
-					}
-				}
-				n := copy(window, window[committed:])
-				window = window[:n]
-			}
-		}
-
-		// Execute: oldest-first, bounded by NumFUs. With scheduling-window
-		// semantics an instruction leaves its slot when it executes.
-		fus := 0
-		n := 0
-		for _, w := range window {
-			if !w.executed {
-				w.resolve(valuePenalty)
-				if fus < cfg.NumFUs && w.ready(cycle) {
-					w.executed = true
-					w.execCycle = cycle
-					w.prod.execCycle = cycle
-					w.prod.resultAt = cycle + cfg.latencyOf(w.rec.Op)
-					w.prod.done = true
-					res.Insts++
-					fus++
-					for _, p := range w.specOn {
-						// Useful iff the producer's value was not yet
-						// forwardable when this consumer executed.
-						if (!p.done || p.resultAt > cycle) && !p.usefulSeen {
-							p.usefulSeen = true
-							res.Used++
-							if o != nil {
-								o.VPUseful()
-							}
-						}
-					}
-					if !cfg.HoldUntilCommit {
-						// Slot freed at execute; recycle unless the fetch
-						// stage still consults this entry as the stall gate.
-						w.left = true
-						if w != stallOn {
-							s.entries.release(w)
-						}
-						continue
-					}
-				}
-			}
-			window[n] = w
-			n++
-		}
-		window = window[:n]
-
-		res.OccupancySum += uint64(len(window))
-
-		// Fetch: blocked while a mispredicted branch is unresolved.
-		fetched := 0
-		canFetch := !eof
-		if stallOn != nil {
-			if stallOn.executed && cycle >= stallOn.execCycle+uint64(cfg.BranchPenalty) {
-				if stallOn.left {
-					// The entry left the window while it was the stall
-					// gate; it is finally unreferenced — recycle it.
-					s.entries.release(stallOn)
-				}
-				stallOn = nil
-			} else {
-				canFetch = false
-				if !eof {
-					res.BranchStallCycles++
-					if o != nil {
-						o.StallBranch()
-					}
-				}
-			}
-		}
-		if canFetch {
-			space := cfg.WindowSize - len(window)
-			if space > cfg.Width {
-				space = cfg.Width
-			}
-			if space <= 0 {
-				res.WindowFullCycles++
-				if o != nil {
-					o.StallWindow()
-				}
-			}
-			if space > 0 {
-				g, ok := eng.NextGroup(space)
-				if !ok {
-					eof = true
-				} else {
-					before := len(window)
-					window = ingest(g.Recs, cycle, cfg, &res, regProd[:], s, window)
-					fetched = len(window) - before
-					if g.Mispredict && fetched > 0 {
-						stallOn = window[len(window)-1]
-					}
-				}
-			}
-		}
-
-		if o != nil {
-			// With scheduling-window semantics an instruction leaves its slot
-			// (and architecturally commits) at execute, so the commit-stage
-			// count mirrors the execute count.
-			if !cfg.HoldUntilCommit {
-				committed = fus
-			}
-			o.Cycle(cycle, fetched, fus, committed, len(window))
-		}
-
-		if eof && len(window) == 0 {
-			break
-		}
-		cycle++
-		if cycle > 1<<40 {
+		if clk.now > 1<<40 {
 			return Result{}, fmt.Errorf("pipeline: runaway simulation (deadlock?)")
 		}
+		space := min(cfg.WindowSize-clk.inflight, cfg.Width)
+		if clk.now < resume {
+			res.BranchStallCycles++
+			clk.o.StallBranch()
+		} else if space <= 0 {
+			res.WindowFullCycles++
+			clk.o.StallWindow()
+		} else {
+			g, ok := eng.NextGroup(space)
+			if !ok {
+				break
+			}
+			exec := m.ingest(g.Recs)
+			if g.Mispredict && len(g.Recs) > 0 {
+				resume = exec + uint64(cfg.BranchPenalty)
+			}
+		}
+		clk.tick()
 	}
-	res.Cycles = cycle
+	// The machine runs until its window drains (an empty trace takes the
+	// one cycle that finds it empty); a last tick closes that cycle.
+	for clk.inflight > 0 {
+		clk.tick()
+	}
+	res.Cycles = clk.now
+	clk.tick()
+	res.OccupancySum = clk.occupancy
 	res.Fetch = eng.Stats()
-	// Hand the (possibly grown) window backing store back to the scratch
-	// so the next run reuses its capacity.
-	s.window = window[:0]
-	if o != nil {
-		o.RunDone(res.Insts, res.Cycles, res.Correct, res.Used)
-	}
-	return res, nil
+	clk.o.RunDone(res.Insts, res.Cycles, res.Correct, res.Used)
+	s.ring = clk.ring // hand the (possibly grown) ring back for the next run
+	return *res, nil
 }
 
-// ingest turns a fetch group into window entries appended to window: it
-// performs the group's value-prediction lookups (directly or through the
-// network), wires dependence edges and publishes producers. Entries and
-// producer records come out of the run's scratch, so ingest allocates
-// nothing per instruction on the steady-state path.
-func ingest(recs []trace.Rec, cycle uint64, cfg Config, res *Result,
-	regProd []*producerInfo, s *scratch, window []*entry) []*entry {
-
-	memProd := s.memProd
+// ingest fetches one group in cycle m.clk.now: it performs the group's
+// value-prediction lookups (directly or through the network), places each
+// record's execute and commit cycles in program order and publishes it as
+// a producer. It returns the last record's execute cycle.
+func (m *machine) ingest(recs []trace.Rec) (exec uint64) {
+	cfg, clk, res := &m.cfg, &m.clk, &m.res
+	fetch, penalty := clk.now, uint64(cfg.ValuePenalty)
 
 	// Network mode performs all lookups for the group first (the banked
-	// table is read once per cycle), then updates after wiring.
-	var slots []core.Slot
-	var slotIdx []int // entry index -> slot index, -1 for non-writers
+	// table is read once per cycle), then updates record by record. The
+	// replies come one per value-producing record, in program order.
+	var replies []core.Slot
 	if cfg.Network != nil {
-		pcs := s.pcs[:0]
-		slotIdx = s.slotIdx[:0]
+		pcs := m.s.pcs[:0]
 		for _, rec := range recs {
-			si := -1
 			if rec.WritesValue() {
-				si = len(pcs)
 				pcs = append(pcs, rec.PC)
 			}
-			slotIdx = append(slotIdx, si)
 		}
-		s.pcs, s.slotIdx = pcs, slotIdx
-		slots = cfg.Network.ProcessGroup(pcs)
+		m.s.pcs = pcs
+		replies = cfg.Network.ProcessGroup(pcs)
 	}
 
-	for i, rec := range recs {
-		w := s.entries.alloc()
-		w.rec, w.earliest = rec, cycle+2
-		w.prod = s.producers.alloc()
-
+	for _, rec := range recs {
+		var right, wrong bool
 		if rec.WritesValue() {
+			var pr predictor.Prediction
 			switch {
 			case cfg.Network != nil:
-				slot := slots[slotIdx[i]]
-				if slot.Denied {
+				r := replies[0]
+				replies = replies[1:]
+				if r.Denied {
 					res.DeniedSlots++
-					if cfg.Obs != nil {
-						cfg.Obs.VPDenied()
-					}
+					clk.o.VPDenied()
 				}
-				if slot.Valid {
-					w.prod.predicted = true
-					w.prod.correct = slot.Pred.Value == rec.Val
-					res.Attempted++
-					if w.prod.correct {
-						res.Correct++
-					}
-					if cfg.Obs != nil {
-						cfg.Obs.VPAttempt(w.prod.correct)
-					}
-				}
+				pr = predictor.Prediction{Value: r.Pred.Value, Confident: r.Valid}
+				cfg.Network.Update(rec.PC, rec.Val)
 			case cfg.Predictor != nil:
-				pr := cfg.Predictor.Lookup(rec.PC)
-				if pr.Confident {
-					w.prod.predicted = true
-					w.prod.correct = pr.Value == rec.Val
-					res.Attempted++
-					if w.prod.correct {
-						res.Correct++
-					}
-					if cfg.Obs != nil {
-						cfg.Obs.VPAttempt(w.prod.correct)
-					}
-				}
+				pr = cfg.Predictor.Lookup(rec.PC)
 				cfg.Predictor.Update(rec.PC, rec.Val)
 			}
-		}
-
-		if rec.Op.ReadsRs1() && rec.Rs1 != 0 {
-			w.addDep(regProd[rec.Rs1])
-		}
-		if rec.Op.ReadsRs2() && rec.Rs2 != 0 {
-			w.addDep(regProd[rec.Rs2])
-		}
-		if cfg.IncludeMemoryDeps && rec.Op.IsLoad() {
-			w.addDep(memProd[rec.Addr])
-		}
-
-		if rec.WritesValue() {
-			regProd[rec.Rd] = w.prod
-		}
-		if cfg.IncludeMemoryDeps && rec.Op.IsStore() {
-			memProd[rec.Addr] = w.prod
-		}
-		window = append(window, w)
-	}
-
-	// Network mode: speculative updates corrected with committed values.
-	if cfg.Network != nil {
-		for _, rec := range recs {
-			if rec.WritesValue() {
-				cfg.Network.Update(rec.PC, rec.Val)
+			if pr.Confident {
+				right, wrong = pr.Value == rec.Val, pr.Value != rec.Val
+				res.Attempted++
+				if right {
+					res.Correct++
+				}
+				clk.o.VPAttempt(right)
 			}
 		}
+
+		// Operand registers. x0 stands in for an operand not read: regs[0]
+		// is never written, so it reads as a producer long executed.
+		var rs [2]isa.Reg
+		if rec.Op.ReadsRs1() {
+			rs[0] = rec.Rs1
+		}
+		if rec.Op.ReadsRs2() {
+			rs[1] = rec.Rs2
+		}
+		exec = fetch + 2
+		for _, r := range rs {
+			exec = max(exec, m.regs[r].readyAt(fetch, penalty))
+		}
+		if cfg.IncludeMemoryDeps && rec.Op.IsLoad() {
+			// Stores are never predicted and take one cycle; an absent
+			// address reads as 0.
+			exec = max(exec, m.s.stores[rec.Addr]+1)
+		}
+		for clk.at(exec).exec == cfg.NumFUs {
+			exec++
+		}
+		clk.at(exec).exec++
+
+		// A correctly predicted in-flight producer whose result is not
+		// forwardable yet decoupled this consumer: it counts once in Used,
+		// and in the per-cycle counts at its earliest such consumer's cycle.
+		for _, r := range rs {
+			p := &m.regs[r]
+			if !p.right || p.exec <= fetch || p.result <= exec || (p.useful != 0 && p.useful <= exec) {
+				continue
+			}
+			if p.useful == 0 {
+				res.Used++
+			} else {
+				clk.at(p.useful).useful--
+			}
+			clk.at(exec).useful++
+			p.useful = exec
+		}
+
+		commit := exec
+		if cfg.HoldUntilCommit {
+			commit = max(exec+1, m.lastCommit)
+			for clk.at(commit).commit == cfg.Width {
+				commit++
+			}
+			m.lastCommit = commit
+		}
+		clk.at(commit).commit++
+
+		if rec.WritesValue() {
+			m.regs[rec.Rd] = producer{exec: exec, result: exec + cfg.latencyOf(rec.Op), right: right, wrong: wrong}
+		}
+		if cfg.IncludeMemoryDeps && rec.Op.IsStore() {
+			m.s.stores[rec.Addr] = exec
+		}
+		clk.fetched++
+		clk.inflight++
+		res.Insts++
 	}
-	return window
+	return exec
 }

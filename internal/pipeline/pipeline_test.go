@@ -35,6 +35,25 @@ func TestInvalidConfigs(t *testing.T) {
 			t.Errorf("negative penalty accepted: %+v", cfg)
 		}
 	}
+	// The value penalty and the latencies set the span of the clock's
+	// ring, so each is bounded; the bound itself is accepted.
+	for _, set := range []func(*Config, int){
+		func(c *Config, v int) { c.ValuePenalty = v },
+		func(c *Config, v int) { c.LoadLatency = v },
+		func(c *Config, v int) { c.MulLatency = v },
+		func(c *Config, v int) { c.DivLatency = v },
+	} {
+		cfg := DefaultConfig()
+		set(&cfg, maxLatency+1)
+		if _, err := Run(fetch.NewSequential(recs, btb.NewPerfect(), -1), cfg); err == nil {
+			t.Errorf("value above %d accepted: %+v", maxLatency, cfg)
+		}
+		cfg = DefaultConfig()
+		set(&cfg, maxLatency)
+		if _, err := Run(fetch.NewSequential(recs, btb.NewPerfect(), -1), cfg); err != nil {
+			t.Errorf("value %d rejected: %v", maxLatency, err)
+		}
+	}
 }
 
 func TestAllInstructionsRetire(t *testing.T) {

@@ -3,114 +3,32 @@ package pipeline
 import "sync"
 
 // This file is the Section 5 machine's memory discipline (DESIGN.md §12,
-// "Memory discipline"), mirroring internal/ideal's scratch: all per-run
-// state that used to be allocated per dynamic instruction — window
-// entries, producer bookkeeping, dependence lists, the memory-producer
-// map, and the network lookup buffers — comes out of a pooled scratch
-// acquired per Run and fully reset at acquisition. sync.Pool caches
-// per-P, so each plan worker effectively re-walks its own warmed arenas
-// cell after cell instead of serializing on the allocator and GC.
-//
-// Reset invariants match ideal/scratch.go; the one pipeline-specific
-// subtlety is the fetch-stall pointer: a mispredicted control transfer
-// (stallOn) can be consulted by the fetch stage after its entry has left
-// the window, so an entry is recycled only once it is both out of the
-// window and no longer the stall gate (the entry.left flag tracks the
-// former).
+// "Memory discipline"), mirroring internal/ideal's scratch. Run keeps its
+// register producers in an array and holds no window, so the only per-run
+// state it reuses is the store-address map, the clock ring's backing array
+// and the network lookup buffer. They come from a process-wide sync.Pool,
+// which caches per-P (effectively per plan worker), so a worker reuses a
+// warmed map cell after cell: the ideal machine found that building its
+// map fresh in every run raised the sec3 benchmark's peak RSS from about
+// 41 to about 52 MB. A scratch is fully reset at acquisition (map cleared,
+// ring zeroed, buffer truncated, capacity kept) and owned by one Run until
+// the matching Put.
 type scratch struct {
-	producers producerArena
-	entries   entryArena
-	window    []*entry
-	memProd   map[uint64]*producerInfo
-	// pcs and slotIdx are ingest's per-group network lookup buffers.
-	pcs     []uint64
-	slotIdx []int
-}
-
-const (
-	producerChunk = 8192
-	entryChunk    = 256
-)
-
-// producerArena bump-allocates producerInfo values in fixed-size chunks
-// that are never reallocated, so handed-out pointers stay valid until the
-// arena rewinds at the next run's reset.
-type producerArena struct {
-	chunks [][]producerInfo
-	ci     int
-	used   int
-}
-
-func (a *producerArena) alloc() *producerInfo {
-	if a.ci == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]producerInfo, producerChunk))
-	}
-	p := &a.chunks[a.ci][a.used]
-	*p = producerInfo{}
-	a.used++
-	if a.used == producerChunk {
-		a.ci++
-		a.used = 0
-	}
-	return p
-}
-
-func (a *producerArena) reset() { a.ci, a.used = 0, 0 }
-
-// entryArena recycles window entries through a free list, preserving the
-// dependence lists' capacity; fields are re-initialised at alloc.
-type entryArena struct {
-	chunks [][]entry
-	ci     int
-	used   int
-	free   []*entry
-}
-
-func (a *entryArena) alloc() *entry {
-	var w *entry
-	if n := len(a.free); n > 0 {
-		w = a.free[n-1]
-		a.free = a.free[:n-1]
-	} else {
-		if a.ci == len(a.chunks) {
-			a.chunks = append(a.chunks, make([]entry, entryChunk))
-		}
-		w = &a.chunks[a.ci][a.used]
-		a.used++
-		if a.used == entryChunk {
-			a.ci++
-			a.used = 0
-		}
-	}
-	w.earliest, w.availAt, w.execCycle = 0, 0, 0
-	w.executed, w.left = false, false
-	w.prod = nil
-	w.waitOn = w.waitOn[:0]
-	w.mispredOn = w.mispredOn[:0]
-	w.specOn = w.specOn[:0]
-	return w
-}
-
-func (a *entryArena) release(w *entry) { a.free = append(a.free, w) }
-
-func (a *entryArena) reset() {
-	a.ci, a.used = 0, 0
-	a.free = a.free[:0]
+	stores map[uint64]uint64 // store address → execute cycle of its latest store
+	ring   []slot            // backing array of the run's clock ring
+	pcs    []uint64          // ingest's per-group network lookup buffer
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &scratch{memProd: make(map[uint64]*producerInfo)}
+	return &scratch{stores: make(map[uint64]uint64)}
 }}
 
 // getScratch returns a fully reset scratch with exclusive ownership.
 func getScratch() *scratch {
 	s := scratchPool.Get().(*scratch)
-	s.producers.reset()
-	s.entries.reset()
-	s.window = s.window[:0]
-	clear(s.memProd)
+	clear(s.stores)
+	clear(s.ring)
 	s.pcs = s.pcs[:0]
-	s.slotIdx = s.slotIdx[:0]
 	return s
 }
 
