@@ -19,9 +19,10 @@ import (
 // differential oracle for the one-pass recurrence: TestRunMatchesOracle
 // and FuzzRunMatchesOracle require both engines to agree on Result and on
 // the Obs output. The scheduling code is the old engine's, unchanged
-// apart from its names; only the pooled arenas and free list it drew its
-// entries from are replaced by plain allocation, which changes no timing
-// and makes the entry.left recycling gate unnecessary.
+// apart from its names and one fix in addDep; only the pooled arenas and
+// free list it drew its entries from are replaced by plain allocation,
+// which changes no timing and makes the entry.left recycling gate
+// unnecessary.
 
 type producerInfo struct {
 	execCycle  uint64
@@ -44,15 +45,16 @@ type entry struct {
 	specOn    []*producerInfo
 }
 
-// addDep records one operand dependence on producer p.
+// addDep records one operand dependence on producer p. A producer stays
+// in flight for this consumer, even once executed, until its result is
+// forwardable: one forwardable by fetch+1 (w.earliest-1) binds no more
+// than the pipeline depth does.
 func (w *entry) addDep(p *producerInfo) {
 	switch {
 	case p == nil:
 		return
-	case p.done:
-		if at := p.execCycle + 1; at > w.availAt {
-			w.availAt = at
-		}
+	case p.done && p.resultAt < w.earliest:
+		return
 	case p.predicted && p.correct:
 		w.specOn = append(w.specOn, p)
 	case p.predicted:

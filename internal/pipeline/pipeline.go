@@ -165,12 +165,12 @@ type producer struct {
 }
 
 // readyAt returns the earliest cycle, as far as p is concerned, at which a
-// consumer fetched in cycle fetch may execute. A producer that executed by
-// the consumer's fetch binds it no more than the pipeline depth does, and
-// a correctly predicted one does not constrain it at all.
+// consumer fetched in cycle fetch may execute. A producer whose result is
+// forwardable by fetch+1 binds it no more than the pipeline depth does;
+// one still in flight binds it unless its value was predicted correctly.
 func (p *producer) readyAt(fetch, penalty uint64) uint64 {
 	switch {
-	case p.exec <= fetch || p.right:
+	case p.result <= fetch+1 || p.right:
 		return 0
 	case p.wrong:
 		return p.result + penalty
@@ -387,7 +387,7 @@ func (m *machine) ingest(recs []trace.Rec) (exec uint64) {
 		// and in the per-cycle counts at its earliest such consumer's cycle.
 		for _, r := range rs {
 			p := &m.regs[r]
-			if !p.right || p.exec <= fetch || p.result <= exec || (p.useful != 0 && p.useful <= exec) {
+			if !p.right || p.result <= exec || (p.useful != 0 && p.useful <= exec) {
 				continue
 			}
 			if p.useful == 0 {

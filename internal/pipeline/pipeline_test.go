@@ -7,6 +7,7 @@ import (
 	"valuepred/internal/core"
 	"valuepred/internal/fetch"
 	"valuepred/internal/ideal"
+	"valuepred/internal/isa"
 	"valuepred/internal/predictor"
 	"valuepred/internal/trace"
 	"valuepred/internal/workload"
@@ -412,5 +413,30 @@ func TestDivLatency(t *testing.T) {
 	}
 	if run(8) >= run(1) {
 		t.Error("divide latency had no effect on ijpeg")
+	}
+}
+
+// TestConsumerWaitsForMultiCycleResult: a consumer fetched after its
+// producer executed must still wait for a multi-cycle result. With a
+// one-entry window the load leaves at execute (cycle 3) and the ADD is
+// fetched in that same cycle, but the load's value only arrives at 3+4.
+func TestConsumerWaitsForMultiCycleResult(t *testing.T) {
+	recs := []trace.Rec{
+		{Seq: 0, PC: isa.PCOf(0), Op: isa.LD, Rd: isa.T0, Rs1: isa.Zero, Addr: 64},
+		{Seq: 1, PC: isa.PCOf(1), Op: isa.ADD, Rd: isa.T1, Rs1: isa.T0, Rs2: isa.T0},
+	}
+	cfg := DefaultConfig()
+	cfg.Width, cfg.WindowSize, cfg.LoadLatency = 1, 1, 4
+	for _, e := range []struct {
+		name string
+		run  engineFunc
+	}{{"Run", Run}, {"oracle", oracleRun}} {
+		res, err := e.run(fetch.NewSequential(recs, btb.NewPerfect(), -1), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cycles != 7 {
+			t.Errorf("%s: %d cycles, want 7: the ADD executes when the load's value arrives", e.name, res.Cycles)
+		}
 	}
 }
