@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -288,6 +289,24 @@ func TestShardAndMergeFlagErrors(t *testing.T) {
 	err := run([]string{"-merge", filepath.Join(t.TempDir(), "nope.json")}, &out, &errb)
 	if err == nil || errors.Is(err, errUsage) {
 		t.Errorf("missing shard file: err = %v, want a non-usage error (exit 1)", err)
+	}
+	// So is a well-formed shard set whose experiment carries no seed runs;
+	// it used to panic the merge.
+	dir := t.TempDir()
+	var names []string
+	for i, w := range []string{"go", "li"} {
+		name := filepath.Join(dir, fmt.Sprintf("p%d.json", i+1))
+		body := fmt.Sprintf(`{"version":1,"shard":{"index":%d,"of":2},`+
+			`"params":{"seed":1,"trace_len":100,"seeds":1,"workloads":["go","li"]},`+
+			`"experiments":[{"experiment":"fig3.1","assigned":[%q],"runs":[]}]}`, i+1, w)
+		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, name)
+	}
+	err = run(append([]string{"-merge"}, names...), &out, &errb)
+	if err == nil || errors.Is(err, errUsage) {
+		t.Errorf("shard set without seed runs: err = %v, want a non-usage error (exit 1)", err)
 	}
 }
 

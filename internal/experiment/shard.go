@@ -209,6 +209,11 @@ func MergeShardFiles(files []*ShardFile) ([]MergedTable, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("experiment: no shard files to merge")
 	}
+	for i, f := range files {
+		if f == nil {
+			return nil, fmt.Errorf("experiment: shard file %d of %d is null", i+1, len(files))
+		}
+	}
 	fs := append([]*ShardFile(nil), files...)
 	sort.Slice(fs, func(i, j int) bool { return fs[i].Shard.Index < fs[j].Shard.Index })
 	first := fs[0]
@@ -227,6 +232,9 @@ func MergeShardFiles(files []*ShardFile) ([]MergedTable, error) {
 		if !reflect.DeepEqual(f.Params, first.Params) {
 			return nil, fmt.Errorf("experiment: shard %s ran different parameters than shard %s", f.Shard, first.Shard)
 		}
+		if len(f.Experiments) == 0 {
+			return nil, fmt.Errorf("experiment: shard %s ran no experiments", f.Shard)
+		}
 		if len(f.Experiments) != len(first.Experiments) {
 			return nil, fmt.Errorf("experiment: shard %s ran %d experiments, shard %s ran %d",
 				f.Shard, len(f.Experiments), first.Shard, len(first.Experiments))
@@ -236,6 +244,9 @@ func MergeShardFiles(files []*ShardFile) ([]MergedTable, error) {
 			if a.Experiment != b.Experiment || a.WorkloadIndependent != b.WorkloadIndependent {
 				return nil, fmt.Errorf("experiment: shard %s experiment %d is %q, shard %s has %q",
 					f.Shard, ei, a.Experiment, first.Shard, b.Experiment)
+			}
+			if len(a.Runs) == 0 {
+				return nil, fmt.Errorf("experiment: %s: shard %s has no seed runs", a.Experiment, f.Shard)
 			}
 			if len(a.Runs) != len(b.Runs) {
 				return nil, fmt.Errorf("experiment: %s: shard %s has %d seed runs, shard %s has %d",

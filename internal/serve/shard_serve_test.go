@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -85,7 +86,9 @@ func TestShardFormatRequiresShardedServer(t *testing.T) {
 }
 
 // TestMergeEndpointRejectsBadSets covers the merge endpoint's error
-// surface: a non-JSON body and an incomplete shard set.
+// surface: a non-JSON body, an incomplete shard set, and the two bodies
+// that used to panic the merge (a null shard file, an experiment with no
+// seed runs) and so answered 500 instead of 400.
 func TestMergeEndpointRejectsBadSets(t *testing.T) {
 	_, ts := newTestServer(t, Config{Shard: plan.Shard{Index: 1, Of: 2}})
 	_, ts0 := newTestServer(t, Config{})
@@ -102,5 +105,22 @@ func TestMergeEndpointRejectsBadSets(t *testing.T) {
 	status, _, body = post(t, ts0, "/v1/merge", "["+strings.TrimSpace(artifact)+"]")
 	if status != http.StatusBadRequest || errorCode(t, body) != "bad_merge" {
 		t.Errorf("incomplete set: status = %d, body = %s", status, body)
+	}
+
+	noRuns := func(i int) string {
+		return fmt.Sprintf(`{"version":1,"shard":{"index":%d,"of":2},`+
+			`"params":{"seed":1,"trace_len":100,"seeds":1,"workloads":["go","li"]},`+
+			`"experiments":[{"experiment":"fig3.1","assigned":[%q],"runs":[]}]}`, i, []string{"go", "li"}[i-1])
+	}
+	for _, c := range []struct{ name, body string }{
+		{"null shard file", "[" + strings.TrimSpace(artifact) + ",null]"},
+		{"no seed runs", "[" + noRuns(1) + "," + noRuns(2) + "]"},
+		{"lone null", "[null]"},
+		{"no experiments", `[{"version":1,"shard":{"index":1,"of":1}}]`},
+	} {
+		status, _, body = post(t, ts0, "/v1/merge", c.body)
+		if status != http.StatusBadRequest || errorCode(t, body) != "bad_merge" {
+			t.Errorf("%s: status = %d, body = %s", c.name, status, body)
+		}
 	}
 }
