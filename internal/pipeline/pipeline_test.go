@@ -57,22 +57,6 @@ func TestInvalidConfigs(t *testing.T) {
 	}
 }
 
-func TestAllInstructionsRetire(t *testing.T) {
-	recs := workload.MustTrace("gcc", 1, 20_000)
-	for _, n := range []int{1, 4, -1} {
-		res, err := Run(fetch.NewSequential(recs, btb.NewPerfect(), n), DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Insts != uint64(len(recs)) {
-			t.Errorf("n=%d: retired %d of %d", n, res.Insts, len(recs))
-		}
-		if res.IPC() <= 0 || res.IPC() > 40 {
-			t.Errorf("n=%d: IPC = %f out of range", n, res.IPC())
-		}
-	}
-}
-
 // TestVPNeverHurtsWithDefaultPenalty: with the default reschedule model a
 // consumed misprediction costs exactly the normal dependence wait, so value
 // prediction can only reduce cycles.
@@ -268,8 +252,9 @@ func TestNetworkDenialsReduceSpeedup(t *testing.T) {
 	}
 }
 
-// TestUsefulnessAccounting sanity-checks the Attempted/Correct/Used
-// invariants.
+// TestUsefulnessAccounting: prediction decouples consumers on m88ksim at
+// unlimited fetch. Used <= Correct <= Attempted is an invariant
+// (invariants_test.go).
 func TestUsefulnessAccounting(t *testing.T) {
 	recs := workload.MustTrace("m88ksim", 1, 30_000)
 	cfg := DefaultConfig()
@@ -277,12 +262,6 @@ func TestUsefulnessAccounting(t *testing.T) {
 	res, err := Run(fetch.NewSequential(recs, btb.NewPerfect(), -1), cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Correct > res.Attempted {
-		t.Error("Correct > Attempted")
-	}
-	if res.Used > res.Correct {
-		t.Error("Used > Correct")
 	}
 	if res.Used == 0 {
 		t.Error("no useful predictions on m88ksim at unlimited fetch")
@@ -292,7 +271,8 @@ func TestUsefulnessAccounting(t *testing.T) {
 	}
 }
 
-// TestStallAccounting checks the front-end stall statistics.
+// TestStallAccounting checks the front-end stall statistics; their upper
+// bounds are invariants (invariants_test.go).
 func TestStallAccounting(t *testing.T) {
 	recs := workload.MustTrace("gcc", 1, 30_000)
 	res, err := Run(fetch.NewSequential(recs, btb.NewTwoLevel(btb.DefaultTwoLevelConfig()), 4), DefaultConfig())
@@ -302,11 +282,8 @@ func TestStallAccounting(t *testing.T) {
 	if res.BranchStallCycles == 0 {
 		t.Error("mispredicting run reported zero branch-stall cycles")
 	}
-	if res.BranchStallCycles+res.WindowFullCycles > res.Cycles {
-		t.Error("stall cycles exceed total cycles")
-	}
-	if occ := res.AvgOccupancy(); occ <= 0 || occ > 40 {
-		t.Errorf("average occupancy = %.1f out of range", occ)
+	if occ := res.AvgOccupancy(); occ <= 0 {
+		t.Errorf("average occupancy = %.1f, want > 0", occ)
 	}
 	// A perfect-BTB run must have no branch stalls.
 	clean, err := Run(fetch.NewSequential(recs, btb.NewPerfect(), 4), DefaultConfig())
