@@ -29,10 +29,10 @@ type Group struct {
 	// trace (NewSequential etc.) it stays valid for as long as the trace
 	// does; over a streaming Source (NewSequentialSource etc.) it is valid
 	// only until the next NextGroup call, which may reuse the window
-	// buffer behind it. pipeline.Run copies each record it keeps in the
-	// same cycle, so it satisfies the stricter contract already. The
-	// marker below makes aliaslint enforce the read-only discipline
-	// mechanically.
+	// buffer behind it. pipeline.Run reads each record before its next
+	// NextGroup call and keeps none, so it satisfies the stricter contract
+	// already. The marker below makes aliaslint enforce the read-only
+	// discipline mechanically.
 	//lint:view
 	Recs []trace.Rec
 	// Mispredict reports that the last instruction of Recs is a control

@@ -42,8 +42,8 @@ type Config struct {
 	// value. The paper's "1 cycle value misprediction penalty" is the
 	// reschedule happening one cycle after the correct value is produced,
 	// i.e. normal forwarding latency, so the default is 0; set 1+ to model
-	// a costlier recovery (see the ablation benchmarks). Run rejects a
-	// negative value.
+	// a costlier recovery (see the ablation benchmarks). Run rejects
+	// values outside [0, 1024].
 	ValuePenalty int
 	// HoldUntilCommit makes an instruction occupy its window slot until
 	// in-order commit (ROB semantics) instead of freeing it at execute
@@ -61,9 +61,10 @@ type Config struct {
 	IncludeMemoryDeps bool
 	// LoadLatency, MulLatency and DivLatency are execution latencies in
 	// cycles for loads, multiplies and divides/remainders (default 1, the
-	// paper's unit-latency model). Functional units are pipelined: latency
-	// delays the result, not unit reuse. Value prediction hides these
-	// latencies for correctly predicted producers (see ablation.latency).
+	// paper's unit-latency model; Run rejects values above 1024).
+	// Functional units are pipelined: latency delays the result, not unit
+	// reuse. Value prediction hides these latencies for correctly
+	// predicted producers (see ablation.latency).
 	LoadLatency int
 	MulLatency  int
 	DivLatency  int
@@ -183,10 +184,9 @@ func (p *producer) readyAt(fetch, penalty uint64) uint64 {
 // that first prove useful in it.
 type slot struct{ exec, commit, useful int }
 
-// clock walks the run's cycles in order. It knows the current fetch cycle,
-// what was fetched in it and what is in the window at its end, and keeps
-// a ring of per-cycle counts for the cycles ahead; with Obs set, it
-// reports each cycle to Obs as it closes.
+// clock walks the run's cycles in order: it knows the current fetch cycle
+// and the window, keeps a ring of per-cycle counts for the cycles ahead
+// and, with Obs set, reports each cycle to Obs as it closes.
 type clock struct {
 	now       uint64 // current fetch cycle
 	fetched   int    // instructions fetched in cycle now

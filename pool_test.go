@@ -17,12 +17,12 @@ import (
 // the same experiment grids three times back-to-back on a wide pool and
 // byte-compares every render. The first pass runs on the freshest pool
 // this process can offer; the later passes run on scratches dirtied by
-// the pass before — recycled arenas, grown dependence lists, populated
-// free lists, filled store maps and cycle rings. Any stale scratch state
-// leaking between cells shows up as a diff; under `make race` the same
-// hammer doubles as a data-race probe on the pool itself. fig3.1 covers
-// the ideal machine's scratch (its store-address map and cycle ring),
-// fig5.3 the pipeline scratch plus the network's reused group buffers.
+// the pass before — filled store maps, grown cycle rings and lookup
+// buffers. Any stale scratch state leaking between cells shows up as a
+// diff; under `make race` the same hammer doubles as a data-race probe on
+// the pool itself. fig3.1 covers the ideal machine's scratch (its
+// store-address map and cycle ring), fig5.3 the pipeline's (the same two
+// plus its network PC buffer) and the network's reused group buffers.
 func TestPooledScratchReuseIsDeterministic(t *testing.T) {
 	p := DefaultParams()
 	p.TraceLen = 4_000
@@ -91,8 +91,9 @@ func TestAllocBudgetPerCell(t *testing.T) {
 		}
 	})
 
-	// Sequential-fetch machine: the pipeline scratch and the fetch engine's
-	// zero-copy group views leave only O(1) allocations per run.
+	// Sequential-fetch machine: the pipeline's pooled scratch and the
+	// fetch engine's zero-copy group views leave only O(1) allocations per
+	// run (the engine itself).
 	check("machine/sequential", 50, func() {
 		cfg := NewMachineConfig()
 		if _, err := RunMachine(NewSequentialFetch(recs, NewPerfectBTB(), 1), cfg); err != nil {
