@@ -458,17 +458,17 @@ func oracleConfigs() []Config {
 	return cfgs
 }
 
-// oracleEngines are the fetch engines TestRunMatchesOracle sweeps, each
-// named and built fresh over recs for every run.
-func oracleEngines(recs []trace.Rec) []struct {
+// namedEngine builds a fresh fetch engine for every run.
+type namedEngine struct {
 	name string
 	new  func() fetch.Engine
-} {
+}
+
+// oracleEngines are the fetch engines the oracle comparisons sweep, over
+// recs.
+func oracleEngines(recs []trace.Rec) []namedEngine {
 	twoLevel := func() btb.Predictor { return btb.NewTwoLevel(btb.DefaultTwoLevelConfig()) }
-	return []struct {
-		name string
-		new  func() fetch.Engine
-	}{
+	return []namedEngine{
 		{"seq-n1-perfect", func() fetch.Engine { return fetch.NewSequential(recs, btb.NewPerfect(), 1) }},
 		{"seq-n4-2level", func() fetch.Engine { return fetch.NewSequential(recs, twoLevel(), 4) }},
 		{"seq-unlimited-perfect", func() fetch.Engine { return fetch.NewSequential(recs, btb.NewPerfect(), -1) }},
@@ -538,19 +538,8 @@ func FuzzRunMatchesOracle(f *testing.F) {
 			HoldUntilCommit:   mode&1 != 0,
 			IncludeMemoryDeps: mode&2 == 0,
 		}
-		newEng := func() fetch.Engine { return fetch.NewSequential(recs, btb.NewPerfect(), -1) }
-		switch mode >> 4 % 4 {
-		case 1:
-			newEng = func() fetch.Engine { return fetch.NewSequential(recs, btb.NewTwoLevel(btb.DefaultTwoLevelConfig()), 1) }
-		case 2:
-			newEng = func() fetch.Engine {
-				return fetch.NewTraceCache(recs, btb.NewTwoLevel(btb.DefaultTwoLevelConfig()), fetch.DefaultTCConfig())
-			}
-		case 3:
-			newEng = func() fetch.Engine {
-				return fetch.NewCollapsingBuffer(recs, btb.NewTwoLevel(btb.DefaultTwoLevelConfig()), fetch.DefaultCBConfig())
-			}
-		}
-		compare(t, "fuzz", newEng, cfg, vpMode(mode>>2%4))
+		engines := oracleEngines(recs)
+		e := engines[int(mode>>4)%len(engines)]
+		compare(t, "fuzz/"+e.name, e.new, cfg, vpMode(mode>>2%4))
 	})
 }
