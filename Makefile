@@ -1,12 +1,19 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: check build vet lint lint-json test race bench bench-gate bench-smoke bench-tracestore serve-smoke clean
+.PHONY: check fmt build vet lint lint-json test race bench bench-gate bench-smoke bench-tracestore serve-smoke clean
 
-# check is the CI gate: static analysis (go vet + the custom vplint
-# suite), a full build, and the test suite under the race detector (the
-# tracestore tests exercise concurrent generation, eviction and
+# check is the CI gate: formatting, static analysis (go vet + the custom
+# vplint suite), a full build, and the test suite under the race detector
+# (the tracestore tests exercise concurrent generation, eviction and
 # singleflight dedup).
-check: vet lint build race
+check: fmt vet lint build race
+
+# fmt fails if gofmt would rewrite any Go file outside testdata (the lint
+# fixtures there keep their layouts on purpose).
+fmt:
+	@out=$$(find . -name '*.go' -not -path '*/testdata/*' | xargs $(GOFMT) -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -27,10 +27,10 @@ func TestApplies(t *testing.T) {
 		"valuepred/internal/fetch":      true, // zero-copy group views
 		"valuepred/internal/core":       true, // reused network group buffers
 
-		"valuepred/cmd/vpsim":           false,
-		"valuepred":                     false,
-		"emu":                           false, // no internal element
-		"valuepred/internal/lint":       false, // not a simulator package
+		"valuepred/cmd/vpsim":     false,
+		"valuepred":               false,
+		"emu":                     false, // no internal element
+		"valuepred/internal/lint": false, // not a simulator package
 	} {
 		if got := detlint.Applies(path); got != want {
 			t.Errorf("Applies(%q) = %v, want %v", path, got, want)

@@ -17,7 +17,7 @@ func TestMember(t *testing.T) {
 		{Determinism, "valuepred/internal/plan", true},
 		{Determinism, "fix/internal/ideal", true}, // fixture modules match too
 		{Determinism, "valuepred/internal/serve", false},
-		{Determinism, "emu", false},            // no internal element
+		{Determinism, "emu", false}, // no internal element
 		{Determinism, "valuepred/cmd/vpsim", false},
 		{Errors, "valuepred/internal/stats", true},
 		{Errors, "valuepred/internal/fetch", false},
