@@ -17,14 +17,15 @@
 //     result;
 //   - hit/miss/evict/dedup counters are exposed through Stats.
 //
-// The store caches traces in two representations sharing one LRU and one
-// memory bound. Get serves the materialized form (a flat []trace.Rec,
-// sub-sliced per request); GetStream serves the streaming form (an
-// immutable chunk.Seq of compressed chunks, DESIGN.md §13) whose memory
-// charge is its compressed size, so paper-scale traces that would blow the
-// flat bound stay cacheable. Prefix subsumption applies to both: a Seq
-// covering n records serves every request for fewer via a bounded Cursor,
-// at chunk granularity and with zero copying.
+// The store caches traces in two representations, and the representation
+// is the third part of an entry's key: one entry map, one in-flight map,
+// one LRU and one memory bound serve both. Get serves the materialized
+// form (a flat []trace.Rec, sub-sliced per request); GetStream serves the
+// streaming form (an immutable chunk.Seq of compressed chunks, DESIGN.md
+// §13) whose memory charge is its compressed size, so paper-scale traces
+// that would blow the flat bound stay cacheable. Prefix subsumption
+// applies to both: a Seq covering n records serves every request for fewer
+// via a bounded Cursor, at chunk granularity and with zero copying.
 //
 // Traces returned by the store are shared between callers and MUST be
 // treated as read-only; the simulation engines only ever read them, and
@@ -79,51 +80,47 @@ type Stats struct {
 // store's bound (DefaultLimit's "~0.5 GB at 64 bytes per record").
 const recBytes = 64
 
-// seqCost is the charged size of a chunk sequence, in record units,
-// rounded up so no entry is free.
-func seqCost(q *chunk.Seq) int { return (q.Bytes() + recBytes - 1) / recBytes }
-
 // key identifies a cached trace. Length is not part of the key: the entry
-// for (workload, seed) always holds the longest trace generated so far, and
-// shorter requests reuse its prefix.
+// for (workload, seed, stream) always holds the longest trace generated so
+// far in that representation, and shorter requests reuse its prefix.
 type key struct {
 	workload string
 	seed     int64
+	stream   bool // the compressed chunk sequence rather than flat records
 }
 
-// lruKey is the LRU list's element value: the entry key plus which of the
-// two entry maps (flat or stream) it lives in, so one recency order and
-// one memory bound govern both representations.
-type lruKey struct {
-	k      key
-	stream bool
-}
-
+// entry is one cached trace: flat records, or for a stream key an
+// immutable compressed chunk sequence shared by every caller that needs
+// any prefix of it.
 type entry struct {
 	recs []trace.Rec
-	elem *list.Element // position in the LRU list; value is an lruKey
+	seq  *chunk.Seq
+	elem *list.Element // position in the LRU list; value is the key
 }
 
-// sentry is a cached streaming trace: an immutable compressed chunk
-// sequence shared by every caller that needs any prefix of it.
-type sentry struct {
-	seq  *chunk.Seq
-	elem *list.Element // position in the LRU list; value is an lruKey
+// len is the number of trace records the entry covers.
+func (e *entry) len() int {
+	if e.seq != nil {
+		return e.seq.Len()
+	}
+	return len(e.recs)
+}
+
+// cost is the entry's charge against the bound, in record units: the
+// record count of a flat trace, or a sequence's compressed size over
+// recBytes, rounded up so no entry is free.
+func (e *entry) cost() int {
+	if e.seq != nil {
+		return (e.seq.Bytes() + recBytes - 1) / recBytes
+	}
+	return len(e.recs)
 }
 
 // flight is one in-progress generation that concurrent callers can join.
 type flight struct {
 	done chan struct{}
-	n    int // length being generated
-	recs []trace.Rec
-	err  error
-}
-
-// sflight is flight's streaming counterpart.
-type sflight struct {
-	done chan struct{}
-	n    int
-	seq  *chunk.Seq
+	n    int   // length being generated
+	e    entry // the generated trace, valid once done is closed
 	err  error
 }
 
@@ -144,33 +141,29 @@ type storeMetrics struct {
 
 // Store is a size-bounded, concurrency-safe trace cache.
 type Store struct {
-	mu        sync.Mutex
-	limit     int // max total charged records; <= 0 means unbounded
-	entries   map[key]*entry
-	sentries  map[key]*sentry
-	lru       *list.List // front = most recently used; both entry kinds
-	total     int
-	inflight  map[key]*flight
-	sinflight map[key]*sflight
-	stats     Stats
-	obs       storeMetrics
-	events    *obs.EventLog
-	gen       func(name string, seed int64, n int) ([]trace.Rec, error)
-	genSeq    func(name string, seed int64, n, chunkSize int) (*chunk.Seq, error)
+	mu       sync.Mutex
+	limit    int // max total charged records; <= 0 means unbounded
+	entries  map[key]*entry
+	lru      *list.List // front = most recently used
+	total    int
+	inflight map[key]*flight
+	stats    Stats
+	obs      storeMetrics
+	events   *obs.EventLog
+	gen      func(name string, seed int64, n int) ([]trace.Rec, error)
+	genSeq   func(name string, seed int64, n, chunkSize int) (*chunk.Seq, error)
 }
 
 // New returns a store bounded to at most limit cached records across all
 // entries (limit <= 0 means unbounded).
 func New(limit int) *Store {
 	return &Store{
-		limit:     limit,
-		entries:   make(map[key]*entry),
-		sentries:  make(map[key]*sentry),
-		lru:       list.New(),
-		inflight:  make(map[key]*flight),
-		sinflight: make(map[key]*sflight),
-		gen:       workload.Trace,
-		genSeq:    streamTrace,
+		limit:    limit,
+		entries:  make(map[key]*entry),
+		lru:      list.New(),
+		inflight: make(map[key]*flight),
+		gen:      workload.Trace,
+		genSeq:   streamTrace,
 	}
 }
 
@@ -219,28 +212,15 @@ func (s *Store) Instrument(reg *obs.Registry) {
 		streamEntries: reg.Gauge("tracestore.stream_entries"),
 		streamBytes:   reg.Gauge("tracestore.stream_bytes"),
 	}
-	s.obs.records.Set(int64(s.total))
-	s.obs.entries.Set(int64(len(s.entries)))
-	s.obs.streamEntries.Set(int64(len(s.sentries)))
-	s.obs.streamBytes.Set(int64(s.streamBytes()))
-}
-
-// streamBytes sums the compressed size of the cached sequences. Called
-// with s.mu held; sentries is small (one per workload/seed pair).
-func (s *Store) streamBytes() int {
-	n := 0
-	for _, e := range s.sentries {
-		n += e.seq.Bytes()
-	}
-	return n
+	s.syncGauges()
 }
 
 // InstrumentEvents attaches a structured event log: every cache miss that
-// runs an emulator emits generate.start/generate.done events with the
-// workload, seed, requested length and (on done) the wall milliseconds —
-// the store's slowest operation, narrated. The wall-clock read stays
-// inside obs (EventLog.Start), keeping this package clean under detlint.
-// A nil log detaches.
+// runs an emulator emits generate.start/generate.done events (stream
+// misses: generate_stream.*) with the workload, seed, requested length and
+// (on done) the wall milliseconds — the store's slowest operation,
+// narrated. The wall-clock read stays inside obs (EventLog.Start), keeping
+// this package clean under detlint. A nil log detaches.
 func (s *Store) InstrumentEvents(l *obs.EventLog) {
 	s.mu.Lock()
 	s.events = l
@@ -251,38 +231,60 @@ func (s *Store) InstrumentEvents(l *obs.EventLog) {
 // generating it at most once per process for any concurrent and future
 // callers. The returned slice aliases the cache and must not be modified.
 func (s *Store) Get(name string, seed int64, n int) ([]trace.Rec, error) {
+	e, err := s.get(key{workload: name, seed: seed}, n, 0)
+	if err != nil {
+		return nil, err
+	}
+	return e.recs[:n:n], nil
+}
+
+// GetStream returns an immutable compressed chunk sequence covering at
+// least the first n records of the named workload's trace for seed,
+// generating it at most once per process (singleflight, shared with
+// concurrent and future callers). Serve a specific prefix by wrapping the
+// result in chunk.NewCursor(seq, n): the sequence may cover more records
+// than requested (prefix subsumption at chunk granularity). chunkSize is
+// the records-per-chunk for a fresh generation (<= 0 means
+// chunk.DefaultSize); an already-cached sequence is served whatever size
+// it was built with.
+func (s *Store) GetStream(name string, seed int64, n, chunkSize int) (*chunk.Seq, error) {
+	e, err := s.get(key{workload: name, seed: seed, stream: true}, n, chunkSize)
+	return e.seq, err
+}
+
+// get returns the entry for k covering at least n records: a cached one
+// (a hit), the result of a generation already in flight for at least n
+// records (a dedup), or a fresh generation (a miss) that it caches for
+// every later caller. chunkSize applies to a fresh stream generation.
+func (s *Store) get(k key, n, chunkSize int) (entry, error) {
 	if n <= 0 {
-		return nil, fmt.Errorf("tracestore: trace length must be positive, have %d", n)
+		return entry{}, fmt.Errorf("tracestore: trace length must be positive, have %d", n)
 	}
-	if _, ok := workload.Get(name); !ok {
-		return nil, fmt.Errorf("tracestore: unknown workload %q", name)
+	if _, ok := workload.Get(k.workload); !ok {
+		return entry{}, fmt.Errorf("tracestore: unknown workload %q", k.workload)
 	}
-	k := key{workload: name, seed: seed}
 	for {
 		s.mu.Lock()
-		if e, ok := s.entries[k]; ok && len(e.recs) >= n {
+		if e, ok := s.entries[k]; ok && e.len() >= n {
 			s.lru.MoveToFront(e.elem)
 			s.stats.Hits++
 			s.obs.hits.Inc()
-			if len(e.recs) > n {
+			if e.len() > n {
 				s.stats.PrefixHits++
 				s.obs.prefixHits.Inc()
 			}
-			recs := e.recs[:n:n]
+			hit := *e
 			s.mu.Unlock()
-			return recs, nil
+			return hit, nil
 		}
 		if f, ok := s.inflight[k]; ok {
 			if f.n >= n {
-				// Join the in-flight generation and sub-slice its result.
+				// Join the in-flight generation and share its result.
 				s.stats.Dedups++
 				s.obs.dedups.Inc()
 				s.mu.Unlock()
 				<-f.done
-				if f.err != nil {
-					return nil, f.err
-				}
-				return f.recs[:n:n], nil
+				return f.e, f.err
 			}
 			// A shorter generation is in flight; wait for it to settle and
 			// re-evaluate (we will then miss and generate the longer trace).
@@ -297,99 +299,29 @@ func (s *Store) Get(name string, seed int64, n int) ([]trace.Rec, error) {
 		ev := s.events
 		s.mu.Unlock()
 
-		// Get's ctx-free API predates spans; generation events carry no
-		// span id (nil ctx renders span as "").
-		genDone := ev.Start(nil, "tracestore", "generate",
-			obs.F("workload", name), obs.F("seed", seed), obs.F("n", n))
-		recs, err := s.gen(name, seed, n)
-		genDone(err == nil)
-		f.recs, f.err = recs, err
+		// The store's ctx-free API predates spans; generation events carry
+		// no span id (nil ctx renders span as "").
+		event := "generate"
+		if k.stream {
+			event = "generate_stream"
+		}
+		genDone := ev.Start(nil, "tracestore", event,
+			obs.F("workload", k.workload), obs.F("seed", k.seed), obs.F("n", n))
+		if k.stream {
+			f.e.seq, f.err = s.genSeq(k.workload, k.seed, n, chunkSize)
+		} else {
+			f.e.recs, f.err = s.gen(k.workload, k.seed, n)
+		}
+		genDone(f.err == nil)
 
 		s.mu.Lock()
 		delete(s.inflight, k)
-		if err == nil {
-			s.insert(k, recs)
+		if f.err == nil {
+			s.insert(k, f.e)
 		}
 		s.mu.Unlock()
 		close(f.done)
-		if err != nil {
-			return nil, err
-		}
-		return recs[:n:n], nil
-	}
-}
-
-// GetStream returns an immutable compressed chunk sequence covering at
-// least the first n records of the named workload's trace for seed,
-// generating it at most once per process (singleflight, shared with
-// concurrent and future callers). Serve a specific prefix by wrapping the
-// result in chunk.NewCursor(seq, n): the sequence may cover more records
-// than requested (prefix subsumption at chunk granularity). chunkSize is
-// the records-per-chunk for a fresh generation (<= 0 means
-// chunk.DefaultSize); an already-cached sequence is served whatever size
-// it was built with.
-func (s *Store) GetStream(name string, seed int64, n, chunkSize int) (*chunk.Seq, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("tracestore: trace length must be positive, have %d", n)
-	}
-	if _, ok := workload.Get(name); !ok {
-		return nil, fmt.Errorf("tracestore: unknown workload %q", name)
-	}
-	k := key{workload: name, seed: seed}
-	for {
-		s.mu.Lock()
-		if e, ok := s.sentries[k]; ok && e.seq.Len() >= n {
-			s.lru.MoveToFront(e.elem)
-			s.stats.Hits++
-			s.obs.hits.Inc()
-			if e.seq.Len() > n {
-				s.stats.PrefixHits++
-				s.obs.prefixHits.Inc()
-			}
-			q := e.seq
-			s.mu.Unlock()
-			return q, nil
-		}
-		if f, ok := s.sinflight[k]; ok {
-			if f.n >= n {
-				s.stats.Dedups++
-				s.obs.dedups.Inc()
-				s.mu.Unlock()
-				<-f.done
-				if f.err != nil {
-					return nil, f.err
-				}
-				return f.seq, nil
-			}
-			// A shorter generation is in flight; wait and re-evaluate.
-			s.mu.Unlock()
-			<-f.done
-			continue
-		}
-		f := &sflight{done: make(chan struct{}), n: n}
-		s.sinflight[k] = f
-		s.stats.Misses++
-		s.obs.misses.Inc()
-		ev := s.events
-		s.mu.Unlock()
-
-		genDone := ev.Start(nil, "tracestore", "generate_stream",
-			obs.F("workload", name), obs.F("seed", seed), obs.F("n", n))
-		q, err := s.genSeq(name, seed, n, chunkSize)
-		genDone(err == nil)
-		f.seq, f.err = q, err
-
-		s.mu.Lock()
-		delete(s.sinflight, k)
-		if err == nil {
-			s.insertSeq(k, q)
-		}
-		s.mu.Unlock()
-		close(f.done)
-		if err != nil {
-			return nil, err
-		}
-		return q, nil
+		return f.e, f.err
 	}
 }
 
@@ -399,106 +331,86 @@ func (s *Store) GetStream(name string, seed int64, n, chunkSize int) (*chunk.Seq
 // pick a cheaper all-hit path (see experiment's trace loading) without
 // perturbing the cache's behaviour counters or eviction decisions.
 func (s *Store) Cached(names []string, seed int64, n int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, name := range names {
-		e, ok := s.entries[key{workload: name, seed: seed}]
-		if !ok || len(e.recs) < n {
-			return false
-		}
-	}
-	return true
+	return s.cached(names, seed, n, false)
 }
 
 // CachedStream is Cached for the streaming representation: it reports
 // whether every named workload has a resident chunk sequence covering n
 // records. Equally inert.
 func (s *Store) CachedStream(names []string, seed int64, n int) bool {
+	return s.cached(names, seed, n, true)
+}
+
+func (s *Store) cached(names []string, seed int64, n int, stream bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, name := range names {
-		e, ok := s.sentries[key{workload: name, seed: seed}]
-		if !ok || e.seq.Len() < n {
+		e, ok := s.entries[key{workload: name, seed: seed, stream: stream}]
+		if !ok || e.len() < n {
 			return false
 		}
 	}
 	return true
 }
 
-// insert stores recs under k (replacing any shorter entry) and evicts
-// least-recently-used entries until the record bound holds. Called with
-// s.mu held. A trace larger than the whole bound is returned to the caller
-// but not cached.
-func (s *Store) insert(k key, recs []trace.Rec) {
+// insert stores e under k (replacing any shorter entry) and evicts
+// least-recently-used entries of either representation until its charge
+// fits the bound. Called with s.mu held. A trace larger than the whole
+// bound is returned to the caller but not cached.
+func (s *Store) insert(k key, e entry) {
 	defer s.syncGauges()
 	if old, ok := s.entries[k]; ok {
-		if len(old.recs) >= len(recs) {
+		if old.len() >= e.len() {
 			return // a concurrent caller already cached an equal/longer trace
 		}
-		s.total -= len(old.recs)
-		s.lru.Remove(old.elem)
-		delete(s.entries, k)
+		s.remove(k, old)
 	}
-	if s.limit > 0 && len(recs) > s.limit {
-		return
-	}
-	s.evictFor(len(recs))
-	s.entries[k] = &entry{recs: recs, elem: s.lru.PushFront(lruKey{k: k})}
-	s.total += len(recs)
-}
-
-// insertSeq is insert for the streaming representation: q replaces any
-// shorter cached sequence for k and charges its compressed size (in record
-// units) against the same bound the flat entries share. Called with s.mu
-// held.
-func (s *Store) insertSeq(k key, q *chunk.Seq) {
-	defer s.syncGauges()
-	cost := seqCost(q)
-	if old, ok := s.sentries[k]; ok {
-		if old.seq.Len() >= q.Len() {
-			return
-		}
-		s.total -= seqCost(old.seq)
-		s.lru.Remove(old.elem)
-		delete(s.sentries, k)
-	}
+	cost := e.cost()
 	if s.limit > 0 && cost > s.limit {
 		return
 	}
-	s.evictFor(cost)
-	s.sentries[k] = &sentry{seq: q, elem: s.lru.PushFront(lruKey{k: k, stream: true})}
+	for s.limit > 0 && s.total+cost > s.limit && s.lru.Len() > 0 {
+		lk := s.lru.Back().Value.(key)
+		s.remove(lk, s.entries[lk])
+		s.stats.Evictions++
+		s.obs.evictions.Inc()
+	}
+	e.elem = s.lru.PushFront(k)
+	s.entries[k] = &e
 	s.total += cost
 }
 
-// evictFor drops least-recently-used entries of either kind until an
-// insertion of the given charged size fits the bound. Called with s.mu
-// held.
-func (s *Store) evictFor(need int) {
-	for s.limit > 0 && s.total+need > s.limit {
-		back := s.lru.Back()
-		if back == nil {
-			break
+// remove drops the cached entry e for k. Called with s.mu held.
+func (s *Store) remove(k key, e *entry) {
+	s.total -= e.cost()
+	s.lru.Remove(e.elem)
+	delete(s.entries, k)
+}
+
+// occupancy fills st's occupancy fields from the resident entries. Called
+// with s.mu held; the map is small (one entry per workload, seed and
+// representation).
+func (s *Store) occupancy(st *Stats) {
+	st.Records = s.total
+	for k, e := range s.entries {
+		if !k.stream {
+			st.Entries++
+			continue
 		}
-		lk := back.Value.(lruKey)
-		if lk.stream {
-			s.total -= seqCost(s.sentries[lk.k].seq)
-			delete(s.sentries, lk.k)
-		} else {
-			s.total -= len(s.entries[lk.k].recs)
-			delete(s.entries, lk.k)
-		}
-		s.lru.Remove(back)
-		s.stats.Evictions++
-		s.obs.evictions.Inc()
+		st.StreamEntries++
+		st.StreamRecords += e.seq.Len()
+		st.CompressedBytes += e.seq.Bytes()
 	}
 }
 
 // syncGauges mirrors occupancy into obs. Called with s.mu held.
 func (s *Store) syncGauges() {
-	s.obs.records.Set(int64(s.total))
-	s.obs.entries.Set(int64(len(s.entries)))
-	s.obs.streamEntries.Set(int64(len(s.sentries)))
-	s.obs.streamBytes.Set(int64(s.streamBytes()))
+	var st Stats
+	s.occupancy(&st)
+	s.obs.records.Set(int64(st.Records))
+	s.obs.entries.Set(int64(st.Entries))
+	s.obs.streamEntries.Set(int64(st.StreamEntries))
+	s.obs.streamBytes.Set(int64(st.CompressedBytes))
 }
 
 // Preload warms the store with the traces of every named workload at the
@@ -506,34 +418,23 @@ func (s *Store) syncGauges() {
 // goroutine, deduplicated with any other caller). It returns the first
 // generation error, if any.
 func (s *Store) Preload(names []string, seed int64, n int) error {
-	errs := make([]error, len(names))
-	var wg sync.WaitGroup
-	for i, name := range names {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			_, errs[i] = s.Get(name, seed, n)
-		}(i, name)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.preload(names, seed, n, 0, false)
 }
 
 // PreloadStream is Preload for the streaming representation: it warms the
 // store with a chunk sequence per named workload, generating concurrently.
 func (s *Store) PreloadStream(names []string, seed int64, n, chunkSize int) error {
+	return s.preload(names, seed, n, chunkSize, true)
+}
+
+func (s *Store) preload(names []string, seed int64, n, chunkSize int, stream bool) error {
 	errs := make([]error, len(names))
 	var wg sync.WaitGroup
 	for i, name := range names {
 		wg.Add(1)
 		go func(i int, name string) {
 			defer wg.Done()
-			_, errs[i] = s.GetStream(name, seed, n, chunkSize)
+			_, errs[i] = s.get(key{workload: name, seed: seed, stream: stream}, n, chunkSize)
 		}(i, name)
 	}
 	wg.Wait()
@@ -550,13 +451,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Records = s.total
-	st.Entries = len(s.entries)
-	st.StreamEntries = len(s.sentries)
-	for _, e := range s.sentries {
-		st.StreamRecords += e.seq.Len()
-		st.CompressedBytes += e.seq.Bytes()
-	}
+	s.occupancy(&st)
 	return st
 }
 
@@ -566,7 +461,6 @@ func (s *Store) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.entries = make(map[key]*entry)
-	s.sentries = make(map[key]*sentry)
 	s.lru.Init()
 	s.total = 0
 	s.stats = Stats{}
