@@ -3,9 +3,7 @@ package experiment
 import (
 	"context"
 
-	"valuepred/internal/chunk"
 	"valuepred/internal/plan"
-	"valuepred/internal/trace"
 )
 
 // grid is the experiment layer's builder over plan.Grid: a runner declares
@@ -70,14 +68,4 @@ type gridResults struct {
 // a table merge.
 func (r *gridResults) get(workload, column, variant string) any {
 	return r.byKey[plan.Key{Experiment: r.id, Workload: workload, Column: column, Variant: variant, Seed: r.p.Seed}]
-}
-
-// recs is the common []trace.Rec lookup for trace grids.
-func (r *gridResults) recs(workload string) []trace.Rec {
-	return r.get(workload, "", "").([]trace.Rec)
-}
-
-// seq is the chunk-sequence lookup for streaming trace grids.
-func (r *gridResults) seq(workload string) *chunk.Seq {
-	return r.get(workload, "", "").(*chunk.Seq)
 }
