@@ -26,7 +26,7 @@
 // machine consumes a bounded pooled window, so paper-scale runs
 // (-len 10000000 and beyond) keep peak memory governed by the chunk pool
 // instead of the trace length. Tables are byte-identical to the default
-// materialized path; -chunk overrides the records-per-chunk granularity.
+// materialized path.
 //
 // Observability: -metrics dumps the full metrics snapshot on stderr at
 // exit; -trace-out writes a Chrome trace_event JSON file (open it in
@@ -114,7 +114,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		progress    = fs.Bool("progress", false, "render a live cells-done/total progress line on stderr while experiments run")
 		eventsOut   = fs.String("events", "", "write a structured JSON event log (one event per line) to this file")
 		stream      = fs.Bool("stream", false, "stream traces through the chunked pipeline (bounded memory; tables byte-identical)")
-		chunkSize   = fs.Int("chunk", 0, "records per streaming chunk (0 = default; only with -stream)")
 		shardSpec   = fs.String("shard", "", "run shard n/m of the workload axis and write a mergeable JSON artifact")
 		merge       = fs.Bool("merge", false, "merge the shard artifacts named as arguments and render the full tables")
 	)
@@ -132,12 +131,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *seeds < 1 {
 		return usagef(fs, "-seeds must be >= 1, have %d", *seeds)
-	}
-	if *chunkSize < 0 {
-		return usagef(fs, "-chunk must be >= 0 (0 = default size), have %d", *chunkSize)
-	}
-	if *chunkSize > 0 && !*stream {
-		return usagef(fs, "-chunk only applies with -stream")
 	}
 	var shard valuepred.Shard
 	if *shardSpec != "" {
@@ -196,7 +189,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		p.Workloads = strings.Split(*workloads, ",")
 	}
 	p.Stream = *stream
-	p.ChunkSize = *chunkSize
 
 	// Any observability flag builds a registry; -cachestats is a formatter
 	// over the same registry snapshot (the store mirrors its counters there).
@@ -250,7 +242,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		for j := 0; j < *seeds; j++ {
 			var err error
 			if *stream {
-				err = valuepred.PreloadStreamTraces(p.Workloads, *seed+int64(j), *traceLen, *chunkSize)
+				err = valuepred.PreloadStreamTraces(p.Workloads, *seed+int64(j), *traceLen)
 			} else {
 				err = valuepred.PreloadTraces(p.Workloads, *seed+int64(j), *traceLen)
 			}

@@ -62,7 +62,6 @@ type ShardParams struct {
 	Seeds     int      `json:"seeds"`
 	Workloads []string `json:"workloads"`
 	Stream    bool     `json:"stream,omitempty"`
-	ChunkSize int      `json:"chunk_size,omitempty"`
 }
 
 // ExperimentShard is one experiment's partial result on one shard.
@@ -138,7 +137,6 @@ func RunShardFileCtx(ctx context.Context, ids []string, p Params, seeds []int64,
 			Seeds:     len(seeds),
 			Workloads: full,
 			Stream:    p.Stream,
-			ChunkSize: p.ChunkSize,
 		},
 	}
 	for _, id := range ids {

@@ -2,11 +2,13 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"testing"
 
 	"valuepred/internal/plan"
+	"valuepred/internal/tracestore"
 )
 
 // mergeBody decodes body, a POST /v1/merge request body, both ways the
@@ -90,5 +92,31 @@ func TestMergeShardFilesRejectsMalformedSets(t *testing.T) {
 		if _, err := MergeShardFiles(c.files); err == nil {
 			t.Errorf("%s: merge succeeded", c.name)
 		}
+	}
+}
+
+// TestShardFileWithChunkSizeMerges pins lenient decoding: artifacts written
+// while streamed runs recorded their chunk size still decode and merge,
+// the retired field ignored.
+func TestShardFileWithChunkSizeMerges(t *testing.T) {
+	p := Params{Seed: 1, TraceLen: 500, Workloads: []string{"li"}, Store: tracestore.New(0), Stream: true}
+	f, err := RunShardFileCtx(context.Background(), []string{"fig3.3"}, p, nil, plan.Shard{Index: 1, Of: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := f.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(buf.Bytes(), []byte(`"stream": true`), []byte(`"stream": true, "chunk_size": 16384`), 1)
+	if bytes.Equal(old, buf.Bytes()) {
+		t.Fatalf("no stream field to extend in %s", buf.Bytes())
+	}
+	g, err := DecodeShardFile(bytes.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MergeShardFiles([]*ShardFile{g}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"io"
 
 	"valuepred/internal/btb"
+	"valuepred/internal/chunk"
 	"valuepred/internal/core"
 	"valuepred/internal/dfg"
 	"valuepred/internal/experiment"
@@ -89,12 +90,12 @@ func PreloadTraces(names []string, seed int64, n int) error {
 // and cached as a compressed chunk sequence instead of a flat slice, so a
 // subsequent streamed run (Params.Stream) at that seed and up to that
 // length is a cache hit whose resident cost is the compressed bytes, not
-// 64 bytes per record. chunkSize is records per chunk (0 = the default).
-func PreloadStreamTraces(names []string, seed int64, n, chunkSize int) error {
+// 64 bytes per record.
+func PreloadStreamTraces(names []string, seed int64, n int) error {
 	if len(names) == 0 {
 		names = workload.Names()
 	}
-	return tracestore.Shared().PreloadStream(names, seed, n, chunkSize)
+	return tracestore.Shared().PreloadStream(names, seed, n, chunk.DefaultSize)
 }
 
 // TraceStoreStats is a snapshot of the shared trace store's counters.
