@@ -43,14 +43,16 @@ race:
 # bench runs every benchmark and writes the parsed report — ns/op, the
 # simulated-instructions-per-second metric each benchmark reports, and the
 # derived workers=1 vs workers=max speedup of the execution engine — to
-# BENCH_pr9.json via cmd/benchjson (BENCH_pr3.json, BENCH_pr5.json and
-# BENCH_pr6.json are the committed earlier baselines). The raw `go test
+# BENCH_pr16.json via cmd/benchjson (BENCH_pr3.json, BENCH_pr5.json,
+# BENCH_pr6.json and BENCH_pr9.json are the committed earlier reports;
+# bench-gate reads BENCH_pr9.json as its baseline, so bench never
+# overwrites the regression reference). The raw `go test
 # -bench` text still reaches the terminal. -gate makes the run fail
 # outright if any parallel sweep is slower than its serial baseline beyond
 # benchjson's noise floor, so a workers regression like PR 5's 0.92× can
 # no longer land silently in a committed report.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchmem . | $(GO) run ./cmd/benchjson -gate -o BENCH_pr9.json
+	$(GO) test -run='^$$' -bench=. -benchmem . | $(GO) run ./cmd/benchjson -gate -o BENCH_pr16.json
 
 # STREAM_MEM_BUDGET caps allocated bytes per streamed fig3.1 sweep
 # (BenchmarkFig31Stream, 8 workloads × 100k instructions, 80 cells). The

@@ -42,7 +42,7 @@
 //
 // Usage:
 //
-//	go test -run='^$' -bench=. -benchmem | go run ./cmd/benchjson -gate -baseline BENCH_pr6.json -o /dev/null
+//	go test -run='^$' -bench=. -benchmem | go run ./cmd/benchjson -gate -baseline BENCH_pr9.json -o /dev/null
 package main
 
 import (

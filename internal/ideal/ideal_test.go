@@ -257,6 +257,39 @@ func TestInvalidConfig(t *testing.T) {
 	}
 }
 
+// TestOutcomesMismatch requires Run to reject, with an error rather than a
+// panic, a recorded outcome stream of a different trace length (shorter
+// or longer) and one set together with a live Predictor; the stream of
+// the trace itself is accepted.
+func TestOutcomesMismatch(t *testing.T) {
+	recs := workload.MustTrace("compress95", 1, 1_000)
+	record := func(n int) *predictor.Outcomes {
+		o, _ := predictor.RecordOutcomes(predictor.NewClassifiedStride(), trace.NewSliceSource(recs[:n]))
+		return o
+	}
+	for _, n := range []int{0, 1, 999, 1_000} {
+		cfg := DefaultConfig(8)
+		cfg.Outcomes = record(n)
+		_, err := Run(trace.NewSliceSource(recs), cfg)
+		if n == len(recs) && err != nil {
+			t.Errorf("stream of the trace rejected: %v", err)
+		}
+		if n != len(recs) && err == nil {
+			t.Errorf("stream of %d records accepted for a %d-record trace", n, len(recs))
+		}
+	}
+	cfg := DefaultConfig(8)
+	cfg.Outcomes = record(len(recs) / 2)
+	if _, err := Run(trace.NewSliceSource(recs[:len(recs)/4]), cfg); err == nil {
+		t.Error("stream longer than the trace accepted")
+	}
+	cfg = DefaultConfig(8)
+	cfg.Outcomes, cfg.Predictor = record(len(recs)), predictor.NewStride()
+	if _, err := Run(trace.NewSliceSource(recs), cfg); err == nil {
+		t.Error("both Predictor and Outcomes accepted")
+	}
+}
+
 func TestEmptyTrace(t *testing.T) {
 	res, err := Run(trace.NewSliceSource(nil), DefaultConfig(4))
 	if err != nil {

@@ -121,6 +121,39 @@ var invariants = []struct {
 	},
 }
 
+// crossRunInvariants are properties of one workload's run sets across
+// every fetch width, each with hand-built run sets it must reject. A check
+// returns nil when the sets satisfy it.
+var crossRunInvariants = []struct {
+	name   string
+	check  func([]runSet) error
+	broken []runSet
+}{
+	{
+		// A direct predictor is looked up and updated at fetch in trace
+		// order whatever the width, so its outcomes depend on the trace
+		// alone: the premise that lets the experiments record them once
+		// per trace and replay them in every cell.
+		name: "same attempted and correct at every width",
+		check: func(sets []runSet) error {
+			for _, s := range sets[1:] {
+				for i, r := range s.predicted() {
+					first := sets[0].predicted()[i]
+					if r.Attempted != first.Attempted || r.Correct != first.Correct {
+						return fmt.Errorf("%s: attempted/correct %d/%d at width %d, %d/%d at width %d", r.name,
+							first.Attempted, first.Correct, sets[0].width, r.Attempted, r.Correct, s.width)
+					}
+				}
+			}
+			return nil
+		},
+		broken: []runSet{
+			{width: 4, classified: Result{Insts: 100, Cycles: 50, Attempted: 10, Correct: 8}},
+			{width: 8, classified: Result{Insts: 100, Cycles: 40, Attempted: 10, Correct: 7}},
+		},
+	},
+}
+
 // measure simulates recs at width in the four configurations of a runSet.
 func measure(t *testing.T, recs []trace.Rec, width int) runSet {
 	t.Helper()
@@ -143,16 +176,33 @@ func measure(t *testing.T, recs []trace.Rec, width int) runSet {
 }
 
 // TestInvariants requires every invariant to accept each workload at each
-// of fig3.1's fetch widths and to reject its broken run set.
+// of fig3.1's fetch widths and to reject its broken run set, and every
+// cross-run invariant to accept each workload's sets across the widths and
+// to reject its broken sets.
 func TestInvariants(t *testing.T) {
 	var sets []runSet
 	var labels []string
+	byWorkload := map[string][]runSet{}
 	for _, name := range workload.Names() {
 		recs := workload.MustTrace(name, 1, 20_000)
 		for _, w := range []int{4, 8, 16, 32, 40} {
-			sets = append(sets, measure(t, recs, w))
+			s := measure(t, recs, w)
+			sets = append(sets, s)
 			labels = append(labels, fmt.Sprintf("%s/BW=%d", name, w))
+			byWorkload[name] = append(byWorkload[name], s)
 		}
+	}
+	for _, inv := range crossRunInvariants {
+		t.Run(inv.name, func(t *testing.T) {
+			for _, name := range workload.Names() {
+				if err := inv.check(byWorkload[name]); err != nil {
+					t.Errorf("accept %s: %v", name, err)
+				}
+			}
+			if inv.check(inv.broken) == nil {
+				t.Errorf("reject: accepted the broken sets %+v", inv.broken)
+			}
+		})
 	}
 	for _, inv := range invariants {
 		t.Run(inv.name, func(t *testing.T) {

@@ -300,8 +300,10 @@ func (want outcome) diff(got outcome) string {
 // compare runs Run and the oracle on recs under cfg, each with a fresh
 // predictor from newPred (nil for none), and reports any difference: Run
 // must match the oracle with Obs set and its Result and timings with Obs
-// nil, which takes the uninstrumented path. label names the trace and
-// predictor in failure messages.
+// nil, which takes the uninstrumented path. With a predictor, Run must
+// also match the oracle when it replays the outcome stream a fresh
+// predictor records over recs. label names the trace and predictor in
+// failure messages.
 func compare(t testing.TB, label string, recs []trace.Rec, cfg Config, newPred func() predictor.Predictor) {
 	t.Helper()
 	with := func(cfg Config) Config {
@@ -315,6 +317,13 @@ func compare(t testing.TB, label string, recs []trace.Rec, cfg Config, newPred f
 	want := observe(t, oracleRun, recs, with(cfg), true)
 	if d := want.diff(observe(t, Run, recs, with(cfg), true)); d != "" {
 		t.Errorf("%s: %s", label, d)
+	}
+	if newPred != nil {
+		replay := cfg
+		replay.Outcomes, _ = predictor.RecordOutcomes(newPred(), trace.NewSliceSource(recs))
+		if d := want.diff(observe(t, Run, recs, replay, true)); d != "" {
+			t.Errorf("%s replaying recorded outcomes: %s", label, d)
+		}
 	}
 	want.metrics, want.trace = "", ""
 	if d := want.diff(observe(t, Run, recs, with(cfg), false)); d != "" {

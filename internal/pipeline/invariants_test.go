@@ -20,6 +20,7 @@ type run struct {
 	label         string
 	traceLen      int
 	width, window int
+	predictor     string // the direct value predictor's name, "" for none
 	pipeline.Result
 }
 
@@ -98,6 +99,42 @@ var invariants = []struct {
 	},
 }
 
+// crossRunInvariants are properties of one workload's runs across every
+// taken-branch limit and BTB, each with hand-built runs it must reject. A
+// check returns nil when the runs satisfy it.
+var crossRunInvariants = []struct {
+	name   string
+	check  func([]run) error
+	broken []run
+}{
+	{
+		// A direct predictor is looked up and updated at fetch in trace
+		// order whatever the fetch engine, so its outcomes depend on the
+		// trace alone: the premise that lets the experiments record them
+		// once per trace and replay them in every cell.
+		name: "same attempted and correct at every n and BTB",
+		check: func(runs []run) error {
+			first := map[string]run{}
+			for _, r := range runs {
+				f, ok := first[r.predictor]
+				if !ok {
+					first[r.predictor] = r
+					continue
+				}
+				if r.Attempted != f.Attempted || r.Correct != f.Correct {
+					return fmt.Errorf("attempted/correct %d/%d in %s, %d/%d in %s",
+						f.Attempted, f.Correct, f.label, r.Attempted, r.Correct, r.label)
+				}
+			}
+			return nil
+		},
+		broken: []run{
+			{label: "n=1", predictor: "stride+2bc", Result: pipeline.Result{Insts: 100, Cycles: 50, Attempted: 10, Correct: 8}},
+			{label: "n=4", predictor: "stride+2bc", Result: pipeline.Result{Insts: 100, Cycles: 40, Attempted: 11, Correct: 8}},
+		},
+	},
+}
+
 // tableInvariants are properties of the paper's Figures 5.1 and 5.2, each
 // with a hand-built table it must reject.
 var tableInvariants = []struct {
@@ -150,8 +187,10 @@ func measure(t *testing.T, name string, recs []trace.Rec) []run {
 		for _, n := range experiment.Fig5Taken {
 			for _, vp := range []bool{false, true} {
 				cfg := pipeline.DefaultConfig()
+				var pred string
 				if vp {
 					cfg.Predictor = predictor.NewClassifiedStride()
+					pred = cfg.Predictor.Name()
 				}
 				res, err := pipeline.Run(fetch.NewSequential(recs, bp.new(), n), cfg)
 				if err != nil {
@@ -160,7 +199,7 @@ func measure(t *testing.T, name string, recs []trace.Rec) []run {
 				runs = append(runs, run{
 					label:    fmt.Sprintf("%s/%s-btb/n=%d/vp=%v", name, bp.name, n, vp),
 					traceLen: len(recs), width: cfg.Width, window: cfg.WindowSize,
-					Result: res,
+					predictor: pred, Result: res,
 				})
 			}
 		}
@@ -170,12 +209,28 @@ func measure(t *testing.T, name string, recs []trace.Rec) []run {
 
 // TestInvariants requires every Result invariant to accept each workload
 // under fig5.1's and fig5.2's configurations and to reject its broken run,
-// and every table invariant to accept fig5.1 and fig5.2 as the golden
-// corpus renders them and to reject its broken table.
+// every cross-run invariant to accept each workload's runs and to reject
+// its broken runs, and every table invariant to accept fig5.1 and fig5.2
+// as the golden corpus renders them and to reject its broken table.
 func TestInvariants(t *testing.T) {
 	var runs []run
+	var byWorkload [][]run
 	for _, name := range workload.Names() {
-		runs = append(runs, measure(t, name, workload.MustTrace(name, 1, 20_000))...)
+		w := measure(t, name, workload.MustTrace(name, 1, 20_000))
+		runs = append(runs, w...)
+		byWorkload = append(byWorkload, w)
+	}
+	for _, inv := range crossRunInvariants {
+		t.Run(inv.name, func(t *testing.T) {
+			for _, w := range byWorkload {
+				if err := inv.check(w); err != nil {
+					t.Errorf("accept: %v", err)
+				}
+			}
+			if inv.check(inv.broken) == nil {
+				t.Errorf("reject: accepted the broken runs %+v", inv.broken)
+			}
+		})
 	}
 	for _, inv := range invariants {
 		t.Run(inv.name, func(t *testing.T) {

@@ -365,16 +365,24 @@ func (m vpMode) String() string {
 	return [...]string{"no-vp", "stride", "classified-stride", "network"}[m]
 }
 
+// newPredictor returns a fresh direct predictor for m, or nil when m
+// predicts no values or predicts them through the network.
+func (m vpMode) newPredictor() predictor.Predictor {
+	switch m {
+	case strideVP:
+		return predictor.NewStride()
+	case classifiedVP:
+		return predictor.NewClassifiedStride()
+	}
+	return nil
+}
+
 // observe runs one engine on a fresh fetch engine from newEng, with fresh
 // prediction state for mode, and records its outcome.
 func observe(t testing.TB, run engineFunc, newEng func() fetch.Engine, cfg Config, mode vpMode, withObs bool) outcome {
 	t.Helper()
-	switch mode {
-	case strideVP:
-		cfg.Predictor = predictor.NewStride()
-	case classifiedVP:
-		cfg.Predictor = predictor.NewClassifiedStride()
-	case networkVP:
+	cfg.Predictor = mode.newPredictor()
+	if mode == networkVP {
 		cfg.Network = core.MustNew(core.DefaultConfig())
 	}
 	reg, tr := obs.NewRegistry(), obs.NewTracer(1)
@@ -414,10 +422,12 @@ func (want outcome) diff(got outcome) string {
 }
 
 // compare runs Run and the oracle under cfg and mode, each on a fresh
-// fetch engine from newEng, and reports any difference: Run must match
-// the oracle with Obs set, and its Result with Obs nil, which takes the
-// uninstrumented path. label names the trace and engine in failures.
-func compare(t testing.TB, label string, newEng func() fetch.Engine, cfg Config, mode vpMode) {
+// fetch engine from newEng over recs, and reports any difference: Run
+// must match the oracle with Obs set, and its Result with Obs nil, which
+// takes the uninstrumented path. With a direct predictor, Run must also
+// match the oracle when it replays the outcome stream a fresh predictor
+// records over recs. label names the trace and engine in failures.
+func compare(t testing.TB, label string, recs []trace.Rec, newEng func() fetch.Engine, cfg Config, mode vpMode) {
 	t.Helper()
 	label = fmt.Sprintf("%s/%s width=%d window=%d fus=%d bpen=%d vpen=%d lat=%d/%d/%d rob=%v mem=%v",
 		label, mode, cfg.Width, cfg.WindowSize, cfg.NumFUs, cfg.BranchPenalty, cfg.ValuePenalty,
@@ -425,6 +435,13 @@ func compare(t testing.TB, label string, newEng func() fetch.Engine, cfg Config,
 	want := observe(t, oracleRun, newEng, cfg, mode, true)
 	if d := want.diff(observe(t, Run, newEng, cfg, mode, true)); d != "" {
 		t.Errorf("%s: %s", label, d)
+	}
+	if p := mode.newPredictor(); p != nil {
+		replay := cfg
+		replay.Outcomes, _ = predictor.RecordOutcomes(p, trace.NewSliceSource(recs))
+		if d := want.diff(observe(t, Run, newEng, replay, noVP, true)); d != "" {
+			t.Errorf("%s replaying recorded outcomes: %s", label, d)
+		}
 	}
 	want.metrics, want.trace = "", ""
 	if d := want.diff(observe(t, Run, newEng, cfg, mode, false)); d != "" {
@@ -495,7 +512,7 @@ func TestRunMatchesOracle(t *testing.T) {
 			for _, e := range oracleEngines(recs) {
 				for mode := noVP; mode < numVPModes; mode++ {
 					for _, cfg := range cfgs {
-						compare(t, name+"/"+e.name, e.new, cfg, mode)
+						compare(t, name+"/"+e.name, recs, e.new, cfg, mode)
 					}
 				}
 			}
@@ -540,6 +557,6 @@ func FuzzRunMatchesOracle(f *testing.F) {
 		}
 		engines := oracleEngines(recs)
 		e := engines[int(mode>>4)%len(engines)]
-		compare(t, "fuzz/"+e.name, e.new, cfg, vpMode(mode>>2%4))
+		compare(t, "fuzz/"+e.name, recs, e.new, cfg, vpMode(mode>>2%4))
 	})
 }

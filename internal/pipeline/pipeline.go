@@ -8,9 +8,11 @@
 // The machine is trace-driven: a fetch engine (internal/fetch) delivers
 // correct-path fetch groups and flags mispredicted control transfers, whose
 // redirect bubble stalls fetch until the branch resolves plus the penalty.
-// Value predictions are obtained either directly from a predictor table or
-// through the banked prediction network of internal/core, which may deny
-// predictions on bank conflicts and expands merged duplicate-PC requests.
+// Value predictions are obtained directly from a predictor table, from an
+// outcome stream recorded by predictor.RecordOutcomes (the direct mode's
+// outcomes depend on the trace alone), or through the banked prediction
+// network of internal/core, which may deny predictions on bank conflicts
+// and expands merged duplicate-PC requests.
 package pipeline
 
 import (
@@ -52,9 +54,14 @@ type Config struct {
 	HoldUntilCommit bool
 	// Predictor enables direct value prediction when non-nil.
 	Predictor predictor.Predictor
+	// Outcomes, when non-nil, enables direct value prediction from a
+	// recorded outcome stream of the trace the fetch engine delivers,
+	// instead of a live Predictor. Run rejects a stream whose length
+	// differs from the trace's.
+	Outcomes *predictor.Outcomes
 	// Network, when non-nil, routes value predictions through the banked
-	// delivery network instead of Predictor (Section 4). Exactly one of
-	// Predictor/Network may be set.
+	// delivery network instead of Predictor (Section 4). At most one of
+	// Predictor, Outcomes and Network may be set.
 	Network *core.Network
 	// IncludeMemoryDeps makes loads depend on the latest store to the
 	// same address.
@@ -259,8 +266,8 @@ func Run(eng fetch.Engine, cfg Config) (Result, error) {
 		max(cfg.ValuePenalty, cfg.LoadLatency, cfg.MulLatency, cfg.DivLatency) > maxLatency {
 		return Result{}, fmt.Errorf("pipeline: invalid config %+v", cfg)
 	}
-	if cfg.Predictor != nil && cfg.Network != nil {
-		return Result{}, fmt.Errorf("pipeline: set either Predictor or Network, not both")
+	if (cfg.Predictor != nil && cfg.Network != nil) || (cfg.Outcomes != nil && (cfg.Predictor != nil || cfg.Network != nil)) {
+		return Result{}, fmt.Errorf("pipeline: set at most one of Predictor, Outcomes and Network")
 	}
 	s := getScratch() // the store map, the ring's array and the lookup buffer
 	defer putScratch(s)
@@ -287,12 +294,18 @@ func Run(eng fetch.Engine, cfg Config) (Result, error) {
 			if !ok {
 				break
 			}
+			if cfg.Outcomes != nil && res.Insts+uint64(len(g.Recs)) > uint64(cfg.Outcomes.Len()) {
+				return Result{}, errOutcomesLen(cfg.Outcomes)
+			}
 			exec := m.ingest(g.Recs)
 			if g.Mispredict && len(g.Recs) > 0 {
 				resume = exec + uint64(cfg.BranchPenalty)
 			}
 		}
 		clk.tick()
+	}
+	if cfg.Outcomes != nil && res.Insts != uint64(cfg.Outcomes.Len()) {
+		return Result{}, errOutcomesLen(cfg.Outcomes)
 	}
 	// The machine runs until its window drains (an empty trace takes the
 	// one cycle that finds it empty); a last tick closes that cycle.
@@ -308,8 +321,8 @@ func Run(eng fetch.Engine, cfg Config) (Result, error) {
 	return *res, nil
 }
 
-// ingest fetches one group in cycle m.clk.now: it performs the group's
-// value-prediction lookups (directly or through the network), places each
+// ingest fetches one group in cycle m.clk.now: it takes the group's
+// value-prediction outcomes (directly or through the network), places each
 // record's execute and commit cycles in program order and publishes it as
 // a producer. It returns the last record's execute cycle.
 func (m *machine) ingest(recs []trace.Rec) (exec uint64) {
@@ -334,7 +347,7 @@ func (m *machine) ingest(recs []trace.Rec) (exec uint64) {
 	for _, rec := range recs {
 		var right, wrong bool
 		if rec.WritesValue() {
-			var pr predictor.Prediction
+			var confident, correct bool
 			switch {
 			case cfg.Network != nil:
 				r := replies[0]
@@ -343,14 +356,13 @@ func (m *machine) ingest(recs []trace.Rec) (exec uint64) {
 					res.DeniedSlots++
 					clk.o.VPDenied()
 				}
-				pr = predictor.Prediction{Value: r.Pred.Value, Confident: r.Valid}
+				confident, correct = r.Valid, r.Pred.Value == rec.Val
 				cfg.Network.Update(rec.PC, rec.Val)
-			case cfg.Predictor != nil:
-				pr = cfg.Predictor.Lookup(rec.PC)
-				cfg.Predictor.Update(rec.PC, rec.Val)
+			case cfg.Predictor != nil || cfg.Outcomes != nil:
+				confident, correct = predictor.Step(cfg.Predictor, cfg.Outcomes, int(res.Insts), &rec)
 			}
-			if pr.Confident {
-				right, wrong = pr.Value == rec.Val, pr.Value != rec.Val
+			if confident {
+				right, wrong = correct, !correct
 				res.Attempted++
 				if right {
 					res.Correct++
@@ -420,4 +432,10 @@ func (m *machine) ingest(recs []trace.Rec) (exec uint64) {
 		res.Insts++
 	}
 	return exec
+}
+
+// errOutcomesLen reports a recorded outcome stream that does not match the
+// trace the fetch engine delivered.
+func errOutcomesLen(o *predictor.Outcomes) error {
+	return fmt.Errorf("pipeline: outcome stream of %d records does not match the trace", o.Len())
 }

@@ -57,6 +57,45 @@ func TestInvalidConfigs(t *testing.T) {
 	}
 }
 
+// TestOutcomesMismatch requires Run to reject, with an error rather than a
+// panic, a recorded outcome stream whose length differs from the trace the
+// fetch engine delivers, and one set together with a Predictor or a
+// Network; the stream of the trace itself is accepted.
+func TestOutcomesMismatch(t *testing.T) {
+	recs := workload.MustTrace("compress95", 1, 1_000)
+	record := func(n int) *predictor.Outcomes {
+		o, _ := predictor.RecordOutcomes(predictor.NewClassifiedStride(), trace.NewSliceSource(recs[:n]))
+		return o
+	}
+	for _, n := range []int{0, 1, 999, 1_000} {
+		cfg := DefaultConfig()
+		cfg.Outcomes = record(n)
+		_, err := Run(fetch.NewSequential(recs, btb.NewPerfect(), 4), cfg)
+		if n == len(recs) && err != nil {
+			t.Errorf("stream of the trace rejected: %v", err)
+		}
+		if n != len(recs) && err == nil {
+			t.Errorf("stream of %d records accepted for a %d-record trace", n, len(recs))
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Outcomes = record(len(recs))
+	if _, err := Run(fetch.NewSequential(recs[:len(recs)/2], btb.NewPerfect(), 4), cfg); err == nil {
+		t.Error("stream longer than the trace accepted")
+	}
+	for _, set := range []func(*Config){
+		func(c *Config) { c.Predictor = predictor.NewStride() },
+		func(c *Config) { c.Network = core.MustNew(core.DefaultConfig()) },
+	} {
+		cfg := DefaultConfig()
+		cfg.Outcomes = record(len(recs))
+		set(&cfg)
+		if _, err := Run(fetch.NewSequential(recs, btb.NewPerfect(), 4), cfg); err == nil {
+			t.Errorf("Outcomes accepted together with a Predictor or Network: %+v", cfg)
+		}
+	}
+}
+
 // TestVPNeverHurtsWithDefaultPenalty: with the default reschedule model a
 // consumed misprediction costs exactly the normal dependence wait, so value
 // prediction can only reduce cycles.

@@ -34,6 +34,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 
@@ -258,6 +259,11 @@ func Run(ctx context.Context, g *Grid, sink *obs.Sink) ([]any, error) {
 // tracer uses as the event timestamp so exported traces stay
 // byte-identical run to run. ctx carries the request span (if any) that
 // the lifecycle events are stamped with.
+//
+// The cell runs under pprof labels taken from its key (experiment,
+// workload, column, variant), so `go tool pprof -tags` or `-tagfocus`
+// splits any CPU profile of the process by cell. Labels reach the cell's
+// context too; like the rest of the instrumentation they never steer.
 func runCell(ctx context.Context, c Cell, index int, sink *obs.Sink) (result any, err error) {
 	done := sink.CellStart(ctx, c.Key.Experiment, c.Key.String(), index)
 	defer func() {
@@ -266,5 +272,8 @@ func runCell(ctx context.Context, c Cell, index int, sink *obs.Sink) (result any
 		}
 		done(err == nil)
 	}()
-	return c.Run(ctx)
+	labels := pprof.Labels("experiment", c.Key.Experiment, "workload", c.Key.Workload,
+		"column", c.Key.Column, "variant", c.Key.Variant)
+	pprof.Do(ctx, labels, func(ctx context.Context) { result, err = c.Run(ctx) })
+	return result, err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -191,6 +192,43 @@ func TestPanicBecomesError(t *testing.T) {
 	// The pool must still be fully usable afterwards.
 	if _, err := Run(context.Background(), grid("after", 4, func(i int) (any, error) { return i, nil }), nil); err != nil {
 		t.Fatalf("pool unusable after panic: %v", err)
+	}
+}
+
+// TestCellPprofLabels checks that each cell runs under pprof labels
+// naming its key, so a CPU profile splits by cell with -tags/-tagfocus.
+func TestCellPprofLabels(t *testing.T) {
+	setWorkers(t, 2)
+	keys := []Key{
+		{Experiment: "fig3.1", Workload: "gcc", Column: "BW=8", Variant: "vp", Seed: 1},
+		{Experiment: "traces", Workload: "go", Seed: 1},
+	}
+	g := &Grid{}
+	for _, k := range keys {
+		g.Add(k, func(ctx context.Context) (any, error) {
+			got := map[string]string{}
+			pprof.ForLabels(ctx, func(key, value string) bool {
+				got[key] = value
+				return true
+			})
+			return got, nil
+		})
+	}
+	results, err := Run(context.Background(), g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		want := map[string]string{"experiment": k.Experiment, "workload": k.Workload, "column": k.Column, "variant": k.Variant}
+		got := results[i].(map[string]string)
+		if len(got) != len(want) {
+			t.Errorf("cell %s: labels %v, want %v", k, got, want)
+		}
+		for name, v := range want {
+			if got[name] != v {
+				t.Errorf("cell %s: label %s = %q, want %q", k, name, got[name], v)
+			}
+		}
 	}
 }
 

@@ -7,7 +7,7 @@ import "fmt"
 // for that instruction. A prediction is endorsed only when the counter is at
 // or above the confidence threshold.
 type Classifier struct {
-	counters  map[uint64]uint8
+	counters  pcTable[uint8]
 	maxCount  uint8
 	threshold uint8
 }
@@ -25,7 +25,6 @@ func NewClassifier(bits, threshold int) *Classifier {
 		panic(fmt.Sprintf("predictor: classifier threshold %d out of range for %d bits", threshold, bits))
 	}
 	return &Classifier{
-		counters:  make(map[uint64]uint8),
 		maxCount:  maxCount,
 		threshold: uint8(threshold),
 	}
@@ -33,22 +32,22 @@ func NewClassifier(bits, threshold int) *Classifier {
 
 // Confident reports whether the counter for pc endorses speculation.
 func (c *Classifier) Confident(pc uint64) bool {
-	return c.counters[pc] >= c.threshold
+	return c.counters.get(pc) >= c.threshold
 }
 
 // Record trains the counter for pc with the correctness of the last
 // prediction: saturating increment when correct, saturating decrement when
 // wrong.
 func (c *Classifier) Record(pc uint64, correct bool) {
-	n := c.counters[pc]
+	n := c.counters.at(pc)
 	if correct {
-		if n < c.maxCount {
-			c.counters[pc] = n + 1
+		if *n < c.maxCount {
+			*n++
 		}
 		return
 	}
-	if n > 0 {
-		c.counters[pc] = n - 1
+	if *n > 0 {
+		*n--
 	}
 }
 

@@ -58,28 +58,40 @@ func Evaluate(p Predictor, recs []trace.Rec) Accuracy {
 // consumed one at a time and never retained, so the trace need not be
 // materialized.
 func EvaluateSource(p Predictor, src trace.Source) Accuracy {
+	return evaluate(p, src, nil)
+}
+
+// evaluate runs p over src using the lookup-then-update protocol and
+// returns its accuracy. With o non-nil it also appends every record's
+// outcome to o.
+func evaluate(p Predictor, src trace.Source, o *Outcomes) Accuracy {
 	var a Accuracy
 	for {
 		r, ok := src.Next()
 		if !ok {
 			break
 		}
+		i := o.grow()
 		if !r.WritesValue() {
 			continue
 		}
 		a.Eligible++
 		pr := p.Lookup(r.PC)
+		correct := pr.Value == r.Val
 		if pr.HasValue {
 			a.Attempted++
-			if pr.Value == r.Val {
+			if correct {
 				a.Correct++
 			}
 			if pr.Confident {
 				a.ConfidentAttempted++
-				if pr.Value == r.Val {
+				if correct {
 					a.ConfidentCorrect++
 				}
 			}
+		}
+		if pr.Confident {
+			o.set(i, correct)
 		}
 		p.Update(r.PC, r.Val)
 	}

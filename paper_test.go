@@ -1,7 +1,10 @@
 package valuepred
 
 import (
+	"fmt"
 	"testing"
+
+	"valuepred/internal/stats"
 )
 
 // These integration tests assert the qualitative fidelity targets of
@@ -19,9 +22,93 @@ func paperParams(t *testing.T) Params {
 	return p
 }
 
-// TestFig31Shape: value-prediction speedup on the ideal machine grows
-// (weakly) with fetch width, is small at width 4, substantial at width 16+,
-// and m88ksim/vortex are among the big winners.
+// tableInvariants are properties of whole rendered tables, each written as
+// a named check on one experiment's table with a hand-built table it must
+// reject. A check returns nil when the table satisfies it.
+var tableInvariants = []struct {
+	name       string
+	experiment string
+	check      func(*Table) error
+	broken     *Table
+}{
+	{
+		// Every arc falls in exactly one DID bucket, so each row's bucket
+		// percentages (every column but the last, ">=4 total") add up to
+		// 100, to within the rounding of float64 percentages.
+		name:       "fig3.4 rows sum to 100% ±0.5",
+		experiment: "fig3.4",
+		check: func(t *Table) error {
+			for _, r := range t.Rows {
+				var sum float64
+				for _, c := range r.Cells[:len(r.Cells)-1] {
+					sum += c
+				}
+				if sum < 99.5 || sum > 100.5 {
+					return fmt.Errorf("%s histogram sums to %.2f%%", r.Label, sum)
+				}
+			}
+			return nil
+		},
+		broken: &Table{
+			Columns: []string{"1", "2", "3", "4-7", "8-15", "16-31", ">=32", ">=4 total"},
+			Rows: []stats.Row{
+				{Label: "go", Cells: []float64{30, 20, 10, 15, 10, 10, 5, 40}},
+				{Label: "li", Cells: []float64{30, 20, 10, 15, 10, 10, 4.4, 39.4}},
+			},
+		},
+	},
+	{
+		// A wider fetch engine only feeds the window faster, which is what
+		// value prediction needs: the average speedup grows (weakly) with
+		// width, with 2 points of slack for noise.
+		name:       "fig3.1 average speedup non-decreasing in width, 2 points slack",
+		experiment: "fig3.1",
+		check: func(t *Table) error {
+			avg, ok := t.Row("average")
+			if !ok {
+				return fmt.Errorf("no average row")
+			}
+			for i := 1; i < len(avg.Cells); i++ {
+				if avg.Cells[i] < avg.Cells[i-1]-2 {
+					return fmt.Errorf("average %s %.1f < %s %.1f - 2",
+						t.Columns[i], avg.Cells[i], t.Columns[i-1], avg.Cells[i-1])
+				}
+			}
+			return nil
+		},
+		broken: &Table{
+			Columns: []string{"BW=4", "BW=8", "BW=16", "BW=32", "BW=40"},
+			Rows: []stats.Row{
+				{Label: "go", Cells: []float64{2, 17, 42, 39.9, 44}},
+				{Label: "average", Cells: []float64{2, 17, 42, 39.9, 44}},
+			},
+		},
+	},
+}
+
+// TestTableInvariants requires every table invariant to accept its
+// experiment as rendered at 60k records and to reject its broken table.
+func TestTableInvariants(t *testing.T) {
+	p := paperParams(t)
+	for _, inv := range tableInvariants {
+		t.Run(inv.name, func(t *testing.T) {
+			tab, err := RunExperiment(inv.experiment, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := inv.check(tab); err != nil {
+				t.Errorf("accept %s: %v", inv.experiment, err)
+			}
+			if inv.check(inv.broken) == nil {
+				t.Errorf("reject: accepted the broken table %+v", inv.broken)
+			}
+		})
+	}
+}
+
+// TestFig31Shape: value-prediction speedup on the ideal machine is small
+// at width 4, substantial at width 16+, and m88ksim/vortex are among the
+// big winners (its growth with width is a table invariant above).
 func TestFig31Shape(t *testing.T) {
 	p := paperParams(t)
 	tab, err := RunExperiment("fig3.1", p)
@@ -31,12 +118,6 @@ func TestFig31Shape(t *testing.T) {
 	avg, ok := tab.Row("average")
 	if !ok {
 		t.Fatal("no average row")
-	}
-	// Monotone growth (small tolerance for noise).
-	for i := 1; i < len(avg.Cells); i++ {
-		if avg.Cells[i] < avg.Cells[i-1]-2 {
-			t.Errorf("average speedup not monotone: %v", avg.Cells)
-		}
 	}
 	w4, w16, w40 := avg.Cells[0], avg.Cells[2], avg.Cells[4]
 	if w4 > 15 {
@@ -78,21 +159,12 @@ func TestFig33Shape(t *testing.T) {
 
 // TestFig34Shape: a large fraction of dependencies span >= 4 instructions
 // (the paper reports ~60% on average; our analogues sit lower but must be
-// substantial), and histogram rows sum to ~100%.
+// substantial). That its rows sum to ~100% is a table invariant above.
 func TestFig34Shape(t *testing.T) {
 	p := paperParams(t)
 	tab, err := RunExperiment("fig3.4", p)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, r := range tab.Rows {
-		var sum float64
-		for _, c := range r.Cells[:len(r.Cells)-1] {
-			sum += c
-		}
-		if sum < 99.5 || sum > 100.5 {
-			t.Errorf("%s histogram sums to %.2f%%", r.Label, sum)
-		}
 	}
 	avg, _ := tab.Row("average")
 	frac4 := avg.Cells[len(avg.Cells)-1]

@@ -3,6 +3,9 @@ package valuepred
 import (
 	"strings"
 	"testing"
+
+	"valuepred/internal/predictor"
+	"valuepred/internal/trace"
 )
 
 // These tests guard the memory discipline of DESIGN.md §12: the simulation
@@ -62,8 +65,9 @@ func TestPooledScratchReuseIsDeterministic(t *testing.T) {
 
 // TestAllocBudgetPerCell pins the per-cell allocation count with
 // testing.AllocsPerRun. The budgets are deliberately loose multiples of
-// the measured steady state (ideal ~24, nearly all of them the predictor's
-// tables, network machine ~1100, sequential machine ~1 for a
+// the measured steady state (ideal with a live predictor ~6, nearly all of
+// them the growth of its dense tables; ideal replaying an outcome stream
+// ~1; network machine ~1060; sequential machine ~1 for a
 // 20k-instruction trace) but far below one allocation
 // per instruction — before the pooled scratches the same runs cost ~2.8
 // allocations per instruction (~56k per run at this trace length), so any
@@ -89,6 +93,17 @@ func TestAllocBudgetPerCell(t *testing.T) {
 	check("ideal+predictor", 200, func() {
 		cfg := NewIdealConfig(16)
 		cfg.Predictor = NewClassifiedStridePredictor()
+		if _, err := RunIdeal(recs, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	// Ideal machine replaying a recorded outcome stream: the per-cell grid
+	// path of fig3.1's vp cells, which keep no predictor state at all.
+	outs, _ := predictor.RecordOutcomes(predictor.NewClassifiedStride(), trace.NewSliceSource(recs))
+	check("ideal+outcomes", 50, func() {
+		cfg := NewIdealConfig(16)
+		cfg.Outcomes = outs
 		if _, err := RunIdeal(recs, cfg); err != nil {
 			t.Fatal(err)
 		}
