@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"valuepred/internal/obs"
-	"valuepred/internal/predictor"
 	"valuepred/internal/stats"
 	"valuepred/internal/tracestore"
 	"valuepred/internal/workload"
@@ -114,12 +113,6 @@ func (p Params) track(parts ...string) *obs.Sink {
 		return nil
 	}
 	return p.Obs.Track(strings.Join(parts, "/"))
-}
-
-// instrument wraps pred with the registry's predictor counters when
-// observability is enabled; otherwise pred is returned untouched.
-func (p Params) instrument(pred predictor.Predictor) predictor.Predictor {
-	return predictor.Instrument(pred, p.Obs.Registry())
 }
 
 // Runner produces one experiment table.
