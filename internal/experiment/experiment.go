@@ -1,15 +1,17 @@
-// Package experiment contains one runner per table and figure of the
-// paper's evaluation, plus the Section 4 router statistics and the design
-// ablations called out in DESIGN.md. Each runner produces a stats.Table
-// whose rows are the eight SPEC95-analogue benchmarks (in the paper's
-// order) and whose columns are the swept machine configurations.
+// Package experiment reproduces every table and figure of the paper's
+// evaluation, plus the Section 4 router statistics and the design
+// ablations and diagnostics called out in DESIGN.md. Each experiment
+// produces a stats.Table whose rows are the eight SPEC95-analogue
+// benchmarks (in the paper's order) and whose columns are the swept
+// machine configurations. Every per-workload experiment is declared as
+// data and executed by one runner (runner.go); only the two tables without
+// per-workload cells, table3.1 and table3.2, are written by hand.
 package experiment
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 
 	"valuepred/internal/obs"
 	"valuepred/internal/stats"
@@ -32,8 +34,8 @@ type Params struct {
 	// isolated cache with fresh counters.
 	Store *tracestore.Store
 	// Obs, when non-nil, receives metrics and cycle-level trace events from
-	// every simulated run. Each (figure, benchmark, configuration) run gets
-	// its own tracer track named like "fig5.1/gcc/n=4/vp". Observability is
+	// every simulated run. Each machine cell gets its own tracer track,
+	// named after its key like "fig5.1/gcc/n=4/vp". Observability is
 	// write-only: tables are bit-identical with Obs set or nil.
 	Obs *obs.Sink
 	// Stream selects the chunked streaming trace path (DESIGN.md §13):
@@ -94,6 +96,20 @@ func (p Params) validate() error {
 			return fmt.Errorf("experiment: unknown workload %q", name)
 		}
 	}
+	return repeated(p.workloads())
+}
+
+// repeated reports the first name that names lists twice: a table has
+// one row per workload, and a repeated name would merge two rows' cells
+// under one key.
+func repeated(names []string) error {
+	seen := make(map[string]bool, len(names))
+	for _, name := range names {
+		if seen[name] {
+			return fmt.Errorf("experiment: workload %q listed twice", name)
+		}
+		seen[name] = true
+	}
 	return nil
 }
 
@@ -105,27 +121,30 @@ func (p Params) store() *tracestore.Store {
 	return tracestore.Shared()
 }
 
-// track derives the observability sink for one simulated run, naming its
-// tracer track by joining parts with "/" (e.g. "fig5.1/gcc/n=4/vp").
-// Returns nil — the fully disabled sink — when observability is off.
-func (p Params) track(parts ...string) *obs.Sink {
+// track derives the observability sink for one cell's run, naming its
+// tracer track after the cell's key with the empty parts skipped (e.g.
+// "fig5.1/gcc/n=4/vp", "sec4/gcc/vp"). Returns nil — the fully disabled
+// sink — when observability is off.
+func (p Params) track(id, workload, column, variant string) *obs.Sink {
 	if p.Obs == nil {
 		return nil
 	}
-	return p.Obs.Track(strings.Join(parts, "/"))
+	name := id
+	for _, part := range []string{workload, column, variant} {
+		if part != "" {
+			name += "/" + part
+		}
+	}
+	return p.Obs.Track(name)
 }
 
-// Runner produces one experiment table.
-type Runner func(Params) (*stableTable, error)
+// entry is one registered experiment.
+type entry struct {
+	desc string
+	run  func(Params) (*Table, error)
+}
 
-// stableTable aliases stats.Table via the re-export in tables.go; the
-// indirection keeps the registry definition local.
-type stableTable = Table
-
-var registry = map[string]struct {
-	runner Runner
-	desc   string
-}{}
+var registry = map[string]entry{}
 
 // registered mirrors the registry's keys as a slice so that no caller ever
 // iterates the map itself: map iteration order is randomized per process,
@@ -133,15 +152,19 @@ var registry = map[string]struct {
 // determinism contract enforced by vplint's detlint.
 var registered []string
 
-func register(id, desc string, r Runner) {
+func register(id, desc string, run func(Params) (*Table, error)) {
 	if _, dup := registry[id]; dup {
 		panic("experiment: duplicate id " + id)
 	}
-	registry[id] = struct {
-		runner Runner
-		desc   string
-	}{runner: r, desc: desc}
+	registry[id] = entry{desc: desc, run: run}
 	registered = append(registered, id)
+}
+
+// declare registers per-workload experiments, each run by decl.run.
+func declare(ds ...decl) {
+	for _, d := range ds {
+		register(d.id, d.desc, d.run)
+	}
 }
 
 // IDs returns the registered experiment identifiers, sorted.
@@ -168,16 +191,15 @@ func Run(id string, p Params) (*Table, error) {
 	}
 	done := p.Obs.EventStart(p.ctx, "experiment", "run",
 		obs.F("experiment", id), obs.F("seed", p.Seed), obs.F("tracelen", p.TraceLen))
-	t, err := e.runner(p)
+	t, err := e.run(p)
 	done(err == nil)
 	return t, err
 }
 
 // RunCtx executes the experiment with the given id under ctx. Cancellation
-// is cooperative: the runners check the context at their checkpoints — when
-// traces are requested, around each per-workload simulation, and between
-// seeds — so an abort is observed at the next checkpoint rather than
-// mid-simulation. An aborted run returns an error satisfying
+// is cooperative: the run checks the context at its checkpoints — when
+// traces are requested, around each grid of cells, and between seeds — so
+// an abort is observed at the next checkpoint rather than mid-simulation. An aborted run returns an error satisfying
 // errors.Is(err, ctx.Err()), distinguishable from validation errors, which
 // never wrap a context error. A nil ctx behaves like Run.
 func RunCtx(ctx context.Context, id string, p Params) (*Table, error) {
@@ -254,10 +276,4 @@ func RunSeeds(id string, p Params, seeds []int64) (*Table, error) {
 		tables = append(tables, t)
 	}
 	return stats.AverageTables(tables)
-}
-
-// workloadGet returns the Table 3.1 description of a benchmark.
-func workloadGet(name string) (string, bool) {
-	s, ok := workload.Get(name)
-	return s.Description, ok
 }

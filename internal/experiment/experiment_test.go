@@ -49,6 +49,10 @@ func TestUnknownAndInvalid(t *testing.T) {
 	if _, err := Run("fig3.1", Params{TraceLen: 100, Workloads: []string{"bogus"}}); err == nil {
 		t.Error("bogus workload accepted")
 	}
+	// A repeated name would declare its cells twice under the same keys.
+	if _, err := Run("fig5.1", Params{TraceLen: 100, Workloads: []string{"gcc", "gcc", "li"}}); err == nil {
+		t.Error("repeated workload accepted")
+	}
 	if _, ok := Describe("nonesuch"); ok {
 		t.Error("Describe(nonesuch) succeeded")
 	}
@@ -89,7 +93,7 @@ func TestAllExperimentsWellFormed(t *testing.T) {
 
 // TestFig31RowsMatchWorkloads checks row labels and the average row.
 func TestFig31RowsMatchWorkloads(t *testing.T) {
-	tab, err := Fig31(tiny())
+	tab, err := Run("fig3.1", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +110,7 @@ func TestFig31RowsMatchWorkloads(t *testing.T) {
 
 // TestTable32Exact pins the paper's walk-through cycles.
 func TestTable32Exact(t *testing.T) {
-	tab, err := Table32(Params{})
+	tab, err := Run("table3.2", Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +135,7 @@ func TestTable32Exact(t *testing.T) {
 
 // TestTable31ListsAllBenchmarks verifies the descriptions table.
 func TestTable31ListsAllBenchmarks(t *testing.T) {
-	tab, err := Table31(Params{Seed: 1, TraceLen: 100})
+	tab, err := Run("table3.1", Params{Seed: 1, TraceLen: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

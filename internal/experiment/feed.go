@@ -8,7 +8,7 @@ import (
 
 // feed is one workload's dynamic trace in whichever representation the run
 // selected: materialized (recs, the flat path) or streaming (seq, a shared
-// immutable compressed chunk sequence). Runners only ever ask a feed for
+// immutable compressed chunk sequence). Cells only ever ask a feed for
 // fresh Sources — each simulated machine consumes its own — so the two
 // representations are interchangeable and byte-identical (pinned by the
 // root stream tests at workers {1, 8}).

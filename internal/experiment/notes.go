@@ -3,13 +3,13 @@ package experiment
 // This file carries the mergeable form of the run-wide aggregate notes
 // (the "mean ... across runs" lines under Figures 5.1–5.3). The rendered
 // string is a dead end for sharding — %.1f has already destroyed the raw
-// sum — so the runners route those notes through a noteAgg collector: each
-// workload contributes its raw value in presentation order, the collector
-// renders the note with exactly the arithmetic the inline code used to do
-// (sum in presentation order, then factor*sum/(weight*contributions)), and
-// when the run is a shard (Params.aggs non-nil) the raw contributions are
-// exported alongside the partial table so MergeShardFiles can re-render
-// the note over the full workload set byte-identically.
+// sum — so a declaration's aggregate note is a NoteAgg: the runner adds
+// each workload's raw value in presentation order and renders the note
+// from the sum (in presentation order, then factor*sum/(weight*
+// contributions)), and when the run is a shard (Params.aggs non-nil) it
+// exports the raw contributions alongside the partial table so
+// MergeShardFiles can re-render the note over the full workload set
+// byte-identically.
 
 // NoteAgg is the serialized form of one aggregate note: the Sprintf format
 // with a single float verb, the scale factor, the per-workload weight
@@ -45,34 +45,4 @@ func (a NoteAgg) value() float64 {
 // render appends the aggregate note to t.
 func (a NoteAgg) render(t *Table) {
 	t.AddNote(a.Format, a.value())
-}
-
-// noteAgg starts a collector for one aggregate note. The runner calls
-// contrib once per workload in presentation order, then render after
-// AppendAverage; render also exports the raw collector into the shard
-// sink when this run is a shard.
-func (p Params) noteAgg(key, format string, factor float64, weight int) *noteAggBuilder {
-	return &noteAggBuilder{
-		p:   p,
-		agg: NoteAgg{Key: key, Format: format, Factor: factor, Weight: weight},
-	}
-}
-
-type noteAggBuilder struct {
-	p   Params
-	agg NoteAgg
-}
-
-// contrib records one workload's raw value. Call in presentation order.
-func (b *noteAggBuilder) contrib(workload string, v float64) {
-	b.agg.Contribs = append(b.agg.Contribs, NoteContrib{Workload: workload, Value: v})
-}
-
-// render appends the note to t and, when the run is a shard, exports the
-// raw collector for the merge.
-func (b *noteAggBuilder) render(t *Table) {
-	b.agg.render(t)
-	if b.p.aggs != nil {
-		*b.p.aggs = append(*b.p.aggs, b.agg)
-	}
 }

@@ -215,6 +215,9 @@ func MergeShardFiles(files []*ShardFile) ([]MergedTable, error) {
 	fs := append([]*ShardFile(nil), files...)
 	sort.Slice(fs, func(i, j int) bool { return fs[i].Shard.Index < fs[j].Shard.Index })
 	first := fs[0]
+	if err := repeated(first.Params.Workloads); err != nil {
+		return nil, err
+	}
 	of := first.Shard.Of
 	if len(fs) != of {
 		return nil, fmt.Errorf("experiment: have %d shard files, need all %d shards of a %d-way run", len(fs), of, of)

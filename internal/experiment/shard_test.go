@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"valuepred/internal/plan"
+	"valuepred/internal/stats"
 	"valuepred/internal/tracestore"
 )
 
@@ -67,7 +68,8 @@ func FuzzMergeShardFiles(f *testing.F) {
 }
 
 // TestMergeShardFilesRejectsMalformedSets pins the inputs that used to
-// panic: each must now come back as an error.
+// panic, and a set listing a workload twice, which used to merge into a
+// table with two rows for it: each must now come back as an error.
 func TestMergeShardFilesRejectsMalformedSets(t *testing.T) {
 	shard := func(i int, runs []ShardRun) *ShardFile {
 		return &ShardFile{
@@ -87,6 +89,16 @@ func TestMergeShardFilesRejectsMalformedSets(t *testing.T) {
 		{"null file", []*ShardFile{nil}},
 		{"null among files", []*ShardFile{shard(1, nil), nil}},
 		{"no experiments", []*ShardFile{{Version: ShardFileVersion, Shard: plan.Shard{Index: 1, Of: 1}}}},
+		{"repeated workload", []*ShardFile{{
+			Version: ShardFileVersion,
+			Shard:   plan.Shard{Index: 1, Of: 1},
+			Params:  ShardParams{Seed: 1, TraceLen: 100, Seeds: 1, Workloads: []string{"li", "li"}},
+			Experiments: []ExperimentShard{{Experiment: "fig3.1", Assigned: []string{"li", "li"}, Runs: []ShardRun{{
+				Seed: 1,
+				Table: &stats.Table{Title: "fig3.1", Columns: []string{"BW=4"},
+					Rows: []stats.Row{{Label: "li", Cells: []float64{1}}, {Label: "li", Cells: []float64{1}}}},
+			}}}},
+		}}},
 	}
 	for _, c := range cases {
 		if _, err := MergeShardFiles(c.files); err == nil {

@@ -53,6 +53,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -988,6 +989,9 @@ func parseRunRequest(r *http.Request, cfg Config) (runRequest, *apiError) {
 			}
 			if _, ok := workload.Get(name); !ok {
 				return bad("unknown workload %q (have %s)", name, strings.Join(workload.Names(), ", "))
+			}
+			if slices.Contains(rr.Workloads, name) {
+				return bad("workload %q listed twice", name)
 			}
 			rr.Workloads = append(rr.Workloads, name)
 		}

@@ -315,6 +315,7 @@ func TestBadParams(t *testing.T) {
 		{"/v1/experiments/fig5.1?seeds=0", http.StatusBadRequest, "bad_params"},
 		{"/v1/experiments/fig5.1?seeds=9999", http.StatusBadRequest, "bad_params"},
 		{"/v1/experiments/fig5.1?workloads=bogus", http.StatusBadRequest, "bad_params"},
+		{"/v1/experiments/fig5.1?workloads=gcc,gcc", http.StatusBadRequest, "bad_params"},
 		{"/v1/experiments/fig5.1?format=banana", http.StatusBadRequest, "bad_params"},
 	}
 	for _, c := range cases {
