@@ -25,7 +25,7 @@ func Load(path string) error { return nil }
 // append so the fixture also proves the ignore directive works.
 func Suppressed(m map[string]int) []int {
 	var out []int
-	//vplint:ignore detlint fixture: directive on the line above must silence this
+	//lint:ignore detlint fixture: directive on the line above must silence this
 	for _, v := range m {
 		out = append(out, v)
 	}

@@ -5,7 +5,7 @@
 //	vpsim -list
 //	vpsim -experiment fig3.1 [-seed 1] [-seeds 5] [-len 200000] [-workloads go,gcc]
 //	      [-workers 8] [-csv|-md|-chart] [-o out.txt]
-//	vpsim -all [-preload] [-cachestats]
+//	vpsim -all [-preload] [-metrics]
 //	vpsim -experiment fig5.1 -metrics -trace-out run.json -manifest run-manifest.json
 //	vpsim -experiment fig5.1 -shard 1/2 -o part1.json
 //	vpsim -merge part1.json part2.json [-csv|-md|-chart]
@@ -18,8 +18,8 @@
 // Traces are served from a process-wide cache, so -all and -seeds N emulate
 // each (workload, seed) pair only once. -preload warms the cache for every
 // selected workload and seed up front (one emulator per goroutine) before
-// the first experiment runs; -cachestats reports the cache's hit/miss/
-// evict/dedup counters on stderr at exit.
+// the first experiment runs; -metrics reports, among the rest, the cache's
+// hit/miss/evict/dedup counters (tracestore.*) on stderr at exit.
 //
 // -stream selects the chunked streaming trace pipeline (DESIGN.md §13):
 // traces are cached as compressed chunk sequences and every simulated
@@ -104,7 +104,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		chart       = fs.Bool("chart", false, "emit an ASCII bar chart")
 		outPath     = fs.String("o", "", "write output to a file instead of stdout")
 		preload     = fs.Bool("preload", false, "warm the trace cache for all selected workloads and seeds before running")
-		cacheStat   = fs.Bool("cachestats", false, "report trace-cache counters on stderr at exit")
 		metrics     = fs.Bool("metrics", false, "dump the metrics snapshot on stderr at exit")
 		traceOut    = fs.String("trace-out", "", "write a Chrome trace_event JSON file of the run")
 		traceSample = fs.Int("trace-sample", 64, "cycles between tracer counter samples (with -trace-out)")
@@ -190,10 +189,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	p.Stream = *stream
 
-	// Any observability flag builds a registry; -cachestats is a formatter
-	// over the same registry snapshot (the store mirrors its counters there).
+	// Any observability flag builds a registry; the trace store mirrors its
+	// counters there.
 	var reg *valuepred.MetricsRegistry
-	if *metrics || *cacheStat || *manifestOut != "" || *traceOut != "" {
+	if *metrics || *manifestOut != "" || *traceOut != "" {
 		reg = valuepred.NewMetricsRegistry()
 		valuepred.InstrumentTraceStore(reg)
 	}
@@ -227,17 +226,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer stop()
 	}
 
-	if *cacheStat {
-		defer func() {
-			snap := reg.Snapshot()
-			c := func(name string) uint64 { v, _ := snap.Counter(name); return v }
-			g := func(name string) int64 { v, _ := snap.Gauge(name); return v }
-			fmt.Fprintf(stderr, "trace cache: %d hits (%d by prefix), %d misses, %d dedups, %d evictions, %d records in %d entries\n",
-				c("tracestore.hits"), c("tracestore.prefix_hits"), c("tracestore.misses"),
-				c("tracestore.dedups"), c("tracestore.evictions"),
-				g("tracestore.records"), g("tracestore.entries"))
-		}()
-	}
 	if *preload {
 		for j := 0; j < *seeds; j++ {
 			var err error

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -87,10 +89,12 @@ func TestMultiSeedAveraging(t *testing.T) {
 	}
 }
 
+// TestPreloadAndCacheStats: with -preload, the experiment's two trace
+// fetches hit the warmed cache, as -metrics's tracestore counters show.
 func TestPreloadAndCacheStats(t *testing.T) {
 	var out, errb strings.Builder
 	err := run([]string{"-experiment", "fig3.3", "-len", "7000", "-workloads", "go,li",
-		"-preload", "-cachestats"}, &out, &errb)
+		"-preload", "-metrics"}, &out, &errb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +102,13 @@ func TestPreloadAndCacheStats(t *testing.T) {
 		t.Errorf("output:\n%s", out.String())
 	}
 	stats := errb.String()
-	if !strings.Contains(stats, "trace cache:") ||
-		!strings.Contains(stats, "hits") || !strings.Contains(stats, "misses") {
-		t.Errorf("cache stats missing from stderr:\n%s", stats)
+	i := strings.Index(stats, "counter tracestore.hits ")
+	if i < 0 || !strings.Contains(stats, "counter tracestore.misses ") {
+		t.Fatalf("trace cache counters missing from stderr:\n%s", stats)
+	}
+	var hits uint64
+	if _, err := fmt.Sscanf(stats[i:], "counter tracestore.hits %d", &hits); err != nil || hits < 2 {
+		t.Errorf("want at least 2 trace cache hits, read %d (%v)", hits, err)
 	}
 }
 
@@ -210,7 +218,7 @@ func TestObservabilityDoesNotSteer(t *testing.T) {
 	}
 	plain := render()
 	observed := render("-metrics", "-trace-out", filepath.Join(dir, "t.json"),
-		"-manifest", filepath.Join(dir, "m.json"), "-cachestats")
+		"-manifest", filepath.Join(dir, "m.json"))
 	if plain != observed {
 		t.Errorf("observability changed the table:\n%s\n----\n%s", plain, observed)
 	}
@@ -318,5 +326,38 @@ func TestRunExperimentChart(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "#") || !strings.Contains(out.String(), "go") {
 		t.Errorf("chart output:\n%s", out.String())
+	}
+}
+
+// TestCLIReferenceListsEveryFlag: the first column of EXPERIMENTS.md's "CLI
+// reference" table names exactly the flags vpsim's usage text lists.
+func TestCLIReferenceListsEveryFlag(t *testing.T) {
+	var out, errb strings.Builder
+	if err := run([]string{"-h"}, &out, &errb); err != nil {
+		t.Fatal(err)
+	}
+	var flags []string
+	for _, m := range regexp.MustCompile(`(?m)^  (-[a-z-]+)`).FindAllStringSubmatch(errb.String(), -1) {
+		flags = append(flags, m[1])
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "## CLI reference")
+	if !ok {
+		t.Fatal(`EXPERIMENTS.md has no "## CLI reference" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var listed []string
+	for _, row := range regexp.MustCompile(`(?m)^\| (.*?) \|`).FindAllStringSubmatch(section, -1) {
+		for _, m := range regexp.MustCompile("`(-[a-z-]+)[^`]*`").FindAllStringSubmatch(row[1], -1) {
+			listed = append(listed, m[1])
+		}
+	}
+	slices.Sort(flags)
+	slices.Sort(listed)
+	if len(flags) == 0 || !slices.Equal(listed, flags) {
+		t.Errorf("EXPERIMENTS.md's CLI reference lists %v;\nvpsim -h lists %v", listed, flags)
 	}
 }

@@ -145,7 +145,7 @@ func TestTwoLevelConfigPanics(t *testing.T) {
 }
 
 func TestGShareLearnsLoop(t *testing.T) {
-	g := NewGShare(DefaultGShareConfig())
+	g := NewGShare()
 	pc, target := uint64(0x1000), uint64(0x800)
 	for i := 0; i < 16; i++ {
 		g.Update(pc, true, target)
@@ -160,7 +160,7 @@ func TestGShareUsesGlobalHistory(t *testing.T) {
 	// A branch whose direction equals the previous branch's direction is
 	// perfectly correlated through global history even though its own
 	// local pattern alternates.
-	g := NewGShare(DefaultGShareConfig())
+	g := NewGShare()
 	a, b := uint64(0x1000), uint64(0x2000)
 	dir := true
 	for i := 0; i < 400; i++ {
@@ -179,22 +179,5 @@ func TestGShareUsesGlobalHistory(t *testing.T) {
 	}
 	if correct < 38 {
 		t.Errorf("correlated branch: %d/40 correct", correct)
-	}
-}
-
-func TestGShareConfigPanics(t *testing.T) {
-	for _, cfg := range []GShareConfig{
-		{PHTEntries: 0, TargetEntries: 64},
-		{PHTEntries: 100, TargetEntries: 64},
-		{PHTEntries: 64, TargetEntries: 0},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("config %+v did not panic", cfg)
-				}
-			}()
-			NewGShare(cfg)
-		}()
 	}
 }

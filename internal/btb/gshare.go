@@ -20,37 +20,25 @@ type targetEntry struct {
 	target uint64
 }
 
-// GShareConfig parameterises the predictor.
-type GShareConfig struct {
-	// PHTEntries is the pattern-history-table size (power of two).
-	PHTEntries int
-	// TargetEntries is the target-buffer size (power of two).
-	TargetEntries int
-}
-
-// DefaultGShareConfig returns a 16K-entry PHT with a 2K-entry target
-// buffer — a hardware budget comparable to the paper's 2K-entry PAp BTB.
-func DefaultGShareConfig() GShareConfig {
-	return GShareConfig{PHTEntries: 16384, TargetEntries: 2048}
-}
+// The pattern-history table holds 16K 2-bit counters and the target
+// buffer 2K entries: a hardware budget comparable to the paper's 2K-entry
+// PAp BTB. Both are powers of two, so an index is a mask.
+const (
+	gsharePHTEntries    = 16384
+	gshareTargetEntries = 2048
+)
 
 // NewGShare builds a gshare predictor.
-func NewGShare(cfg GShareConfig) *GShare {
-	if cfg.PHTEntries <= 0 || cfg.PHTEntries&(cfg.PHTEntries-1) != 0 {
-		panic("btb: gshare PHT size must be a positive power of two")
-	}
-	if cfg.TargetEntries <= 0 || cfg.TargetEntries&(cfg.TargetEntries-1) != 0 {
-		panic("btb: gshare target buffer size must be a positive power of two")
-	}
-	pht := make([]uint8, cfg.PHTEntries)
+func NewGShare() *GShare {
+	pht := make([]uint8, gsharePHTEntries)
 	for i := range pht {
 		pht[i] = 1 // weakly not-taken
 	}
 	return &GShare{
 		pht:     pht,
-		mask:    uint64(cfg.PHTEntries - 1),
-		targets: make([]targetEntry, cfg.TargetEntries),
-		tmask:   uint64(cfg.TargetEntries - 1),
+		mask:    gsharePHTEntries - 1,
+		targets: make([]targetEntry, gshareTargetEntries),
+		tmask:   gshareTargetEntries - 1,
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"valuepred/internal/predictor"
+	"valuepred/internal/trace"
 )
 
 // warm returns a classified stride predictor warmed so that pc predicts
@@ -138,7 +139,7 @@ func TestDifferentBanksNoConflict(t *testing.T) {
 }
 
 func TestHintDrop(t *testing.T) {
-	hints := predictor.Profile(nil, 0.5) // empty profile: all default stride
+	hints := predictor.ProfileSource(trace.NewSliceSource(nil), 0.5) // empty profile: all default stride
 	_ = hints
 	drop := dropAll{}
 	p := predictor.NewClassifiedStride()

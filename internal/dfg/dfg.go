@@ -155,17 +155,12 @@ func (a *Analysis) FracPredictableLong() float64 {
 	return float64(long) / float64(a.Arcs)
 }
 
-// Analyze scans recs and computes the DFG statistics. Producer
+// AnalyzeSource scans src and computes the DFG statistics. Producer
 // predictability is evaluated with an infinite stride predictor per the
-// paper's Figure 3.5 methodology.
-func Analyze(recs []trace.Rec, cfg Config) *Analysis {
-	return AnalyzeSource(trace.NewSliceSource(recs), cfg)
-}
-
-// AnalyzeSource is Analyze over a streaming record source. The analysis is
-// inherently single-pass — producer state is 32 registers plus (optionally)
-// a last-store-per-address map — so it never needs the trace materialized;
-// records are consumed one at a time and not retained.
+// paper's Figure 3.5 methodology. The analysis is inherently single-pass —
+// producer state is 32 registers plus (optionally) a last-store-per-address
+// map — so it never needs the trace materialized; records are consumed one
+// at a time and not retained.
 func AnalyzeSource(src trace.Source, cfg Config) *Analysis {
 	a := &Analysis{}
 	type producer struct {

@@ -53,7 +53,7 @@ func chain(n int) []trace.Rec {
 }
 
 func TestAnalyzeChain(t *testing.T) {
-	a := Analyze(chain(100), Config{})
+	a := AnalyzeSource(trace.NewSliceSource(chain(100)), Config{})
 	if a.Insts != 100 {
 		t.Fatalf("insts = %d", a.Insts)
 	}
@@ -92,7 +92,7 @@ func TestAnalyzeKnownGraph(t *testing.T) {
 		mk(6, isa.T6, isa.T2, 7), // 7: 3->7, DID 4
 		mk(7, isa.S0, isa.T6, 8), // 8: 7->8, DID 1
 	}
-	a := Analyze(recs, Config{})
+	a := AnalyzeSource(trace.NewSliceSource(recs), Config{})
 	if a.Arcs != 6 {
 		t.Fatalf("arcs = %d, want 6", a.Arcs)
 	}
@@ -110,7 +110,7 @@ func TestAnalyzeSameRegisterOperandsCountOnce(t *testing.T) {
 		{Seq: 0, PC: isa.PCOf(0), Op: isa.LI, Rd: isa.T0, Val: 2},
 		{Seq: 1, PC: isa.PCOf(1), Op: isa.ADD, Rd: isa.T1, Rs1: isa.T0, Rs2: isa.T0, Val: 4},
 	}
-	a := Analyze(recs, Config{})
+	a := AnalyzeSource(trace.NewSliceSource(recs), Config{})
 	if a.Arcs != 1 {
 		t.Errorf("rs1 == rs2 counted as %d arcs", a.Arcs)
 	}
@@ -121,7 +121,7 @@ func TestAnalyzeZeroRegisterNoDep(t *testing.T) {
 		{Seq: 0, PC: isa.PCOf(0), Op: isa.ADDI, Rd: isa.T0, Rs1: 0, Val: 1},
 		{Seq: 1, PC: isa.PCOf(1), Op: isa.ADDI, Rd: isa.T1, Rs1: 0, Val: 2},
 	}
-	if a := Analyze(recs, Config{}); a.Arcs != 0 {
+	if a := AnalyzeSource(trace.NewSliceSource(recs), Config{}); a.Arcs != 0 {
 		t.Errorf("x0 reads created %d arcs", a.Arcs)
 	}
 }
@@ -133,8 +133,8 @@ func TestMemoryDeps(t *testing.T) {
 		{Seq: 2, PC: isa.PCOf(2), Op: isa.NOP},
 		{Seq: 3, PC: isa.PCOf(3), Op: isa.LD, Rd: isa.T1, Rs1: isa.SP, Addr: 0x40, Val: 9},
 	}
-	noMem := Analyze(recs, Config{})
-	withMem := Analyze(recs, Config{IncludeMemoryDeps: true})
+	noMem := AnalyzeSource(trace.NewSliceSource(recs), Config{})
+	withMem := AnalyzeSource(trace.NewSliceSource(recs), Config{IncludeMemoryDeps: true})
 	// Register-only: only the SD's rs2 read of t0.
 	if noMem.Arcs != 1 {
 		t.Errorf("register arcs = %d", noMem.Arcs)
@@ -161,7 +161,7 @@ func TestPredictability(t *testing.T) {
 		)
 		seq += 2
 	}
-	a := Analyze(recs, Config{})
+	a := AnalyzeSource(trace.NewSliceSource(recs), Config{})
 	if a.Predictable() == 0 {
 		t.Fatal("no predictable arcs found")
 	}
@@ -180,7 +180,7 @@ func TestPredictability(t *testing.T) {
 }
 
 func TestEmptyAnalysis(t *testing.T) {
-	a := Analyze(nil, Config{})
+	a := AnalyzeSource(trace.NewSliceSource(nil), Config{})
 	if a.AvgDID() != 0 || a.FracDIDAtLeast4() != 0 ||
 		a.FracPredictableShort() != 0 || a.FracPredictableLong() != 0 {
 		t.Error("empty analysis must return zeros")

@@ -55,7 +55,7 @@ func init() {
 			} else {
 				inner = predictor.NewStrideTable(size)
 			}
-			return &predictor.Classified{Inner: inner, Class: predictor.NewClassifier(2, 2)}
+			return &predictor.Classified{Inner: inner, Class: predictor.NewClassifier()}
 		}})
 	}
 

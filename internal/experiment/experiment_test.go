@@ -7,6 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"valuepred/internal/obs"
+	"valuepred/internal/predictor"
+	"valuepred/internal/trace"
 	"valuepred/internal/tracestore"
 	"valuepred/internal/workload"
 )
@@ -230,5 +233,54 @@ func TestPreloadAsyncSkipsCanceled(t *testing.T) {
 			t.Fatalf("live preload never warmed the store: %+v", p.Store.Stats())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPredictorCounters pins the predictor.* counters a run reports to a
+// count made without the simulator: over fig3.1 (one classified stride
+// stream per workload) and ablation.lipasti (a loads-only and an
+// all-instruction stream per workload), every recorded stream looks up and
+// updates each value-writing record once, and the lookups with a value and
+// the confident ones are those EvaluateSource counts with fresh predictors
+// over the same traces.
+func TestPredictorCounters(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := Params{Seed: 1, TraceLen: 3_000, Workloads: []string{"li", "go"}, Obs: obs.New(reg, nil)}
+	for _, id := range []string{"fig3.1", "ablation.lipasti"} {
+		if _, err := Run(id, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var writers, hasValue, confident uint64
+	for _, name := range p.Workloads {
+		recs := workload.MustTrace(name, p.Seed, p.TraceLen)
+		for _, pred := range []predictor.Predictor{
+			predictor.NewClassifiedStride(), // fig3.1
+			predictor.NewLoadsOnlyFromSource(predictor.NewClassifiedStride(), trace.NewSliceSource(recs)),
+			predictor.NewClassifiedStride(), // ablation.lipasti's all-instruction stream
+		} {
+			for _, r := range recs {
+				if r.WritesValue() {
+					writers++
+				}
+			}
+			acc := predictor.EvaluateSource(pred, trace.NewSliceSource(recs))
+			hasValue += acc.Attempted
+			confident += acc.ConfidentAttempted
+		}
+	}
+	if writers == 0 || confident == 0 {
+		t.Fatalf("degenerate traces: %d value writers, %d confident lookups", writers, confident)
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]uint64{
+		"predictor.lookups":          writers,
+		"predictor.updates":          writers,
+		"predictor.lookup.has_value": hasValue,
+		"predictor.lookup.confident": confident,
+	} {
+		if got, _ := snap.Counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }

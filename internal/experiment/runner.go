@@ -109,9 +109,12 @@ type pipeRun struct {
 // with the predictor's name as column and "outcomes" as variant: a direct
 // predictor's outcomes depend on the trace alone (DESIGN.md §7), so every
 // cell of the run replays its workload's stream instead of driving a
-// predictor again. The streams live for this one run. The rows, the
-// average row and the aggregate note are built in presentation order, so
-// the float64 addition order never depends on cell scheduling.
+// predictor again. The streams live for this one run. Each recording pass
+// adds its accuracy to p.Obs's predictor counters: it looks up and updates
+// every value-producing record once, and every predictor is confident
+// only when it has a value. The rows, the average row and the aggregate
+// note are built in presentation order, so the float64 addition order
+// never depends on cell scheduling.
 func (d decl) run(p Params) (*Table, error) {
 	feeds, err := p.feeds()
 	if err != nil {
@@ -125,8 +128,12 @@ func (d decl) run(p Params) (*Table, error) {
 			f := feeds[name]
 			for _, s := range d.preds {
 				g.cell(name, s.name, "outcomes", func() (any, error) {
-					pred := predictor.Instrument(s.mk(f), p.Obs.Registry()) // unwrapped when Obs is nil
-					outs, acc := predictor.RecordOutcomes(pred, f.source())
+					outs, acc := predictor.RecordOutcomes(s.mk(f), f.source())
+					reg := p.Obs.Registry() // nil, and its counters nil, when Obs is nil
+					reg.Counter("predictor.lookups").Add(acc.Eligible)
+					reg.Counter("predictor.lookup.has_value").Add(acc.Attempted)
+					reg.Counter("predictor.lookup.confident").Add(acc.ConfidentAttempted)
+					reg.Counter("predictor.updates").Add(acc.Eligible)
 					return recording{outs: outs, acc: acc}, nil
 				})
 			}
@@ -220,7 +227,7 @@ func (m machine) engine(f feed) fetch.Engine {
 	case "seq":
 		return fetch.NewSequentialSource(f.source(), bp, m.taken)
 	case "cb":
-		return fetch.NewCollapsingBufferSource(f.source(), bp, fetch.DefaultCBConfig())
+		return fetch.NewCollapsingBufferSource(f.source(), bp)
 	case "tc", "tc+partial":
 	default:
 		panic("experiment: unknown fetch engine " + m.fetch)
@@ -241,7 +248,7 @@ func newBTB(name string) btb.Predictor {
 	case "btb-8k/h6":
 		return btb.NewTwoLevel(btb.TwoLevelConfig{Entries: 8192, Ways: 4, HistoryBits: 6})
 	case "gshare":
-		return btb.NewGShare(btb.DefaultGShareConfig())
+		return btb.NewGShare()
 	case "ideal":
 		return btb.NewPerfect()
 	}

@@ -6,55 +6,31 @@ import (
 	"valuepred/internal/trace"
 )
 
-// CBConfig parameterises the collapsing-buffer fetch engine, modelling the
-// mechanism of Conte et al. that the paper surveys in Section 2.2: an
-// interleaved instruction cache reads two cache lines per cycle — the line
-// containing the fetch address and the line containing the predicted target
-// of the first taken branch — and a collapsing buffer merges the valid
-// instructions of both lines into one fetch group.
-type CBConfig struct {
-	// LineInsts is the instruction-cache line size in instructions
-	// (lines are aligned on this boundary).
-	LineInsts int
-	// Lines is how many (possibly noncontiguous) lines are read per cycle.
-	Lines int
-}
-
-// DefaultCBConfig returns the classic two-line, 16-instruction-line
-// organisation.
-func DefaultCBConfig() CBConfig { return CBConfig{LineInsts: 16, Lines: 2} }
-
-// CollapsingBuffer is the two-line interleaved-cache fetch engine.
+// CollapsingBuffer is the fetch engine of Conte et al. that the paper
+// surveys in Section 2.2: an interleaved instruction cache reads two cache
+// lines of 16 instructions per cycle — the line containing the fetch
+// address and the line containing the predicted target of the first taken
+// branch — and a collapsing buffer merges the valid instructions of both
+// lines into one fetch group.
 type CollapsingBuffer struct {
 	s     stream
 	c     ctrl
-	cfg   CBConfig
 	stats Stats
 	obs   *obs.Sink
 }
 
-// NewCollapsingBuffer returns a collapsing-buffer engine over recs.
-func NewCollapsingBuffer(recs []trace.Rec, bp btb.Predictor, cfg CBConfig) *CollapsingBuffer {
-	return newCollapsingBuffer(stream{recs: recs}, bp, cfg)
-}
+const (
+	cbLineInsts = 16 // instructions per aligned cache line
+	cbLines     = 2  // (possibly noncontiguous) lines read per cycle
+)
 
-// NewCollapsingBufferSource is NewCollapsingBuffer over a streaming record
-// source: memory stays O(window) at any trace length, and delivered
-// Group.Recs views are valid only until the next NextGroup call (see
-// Group). A *trace.SliceSource is detected and unwrapped to the zero-copy
-// flat path.
-func NewCollapsingBufferSource(src trace.Source, bp btb.Predictor, cfg CBConfig) *CollapsingBuffer {
-	return newCollapsingBuffer(newStream(src), bp, cfg)
-}
-
-func newCollapsingBuffer(s stream, bp btb.Predictor, cfg CBConfig) *CollapsingBuffer {
-	if cfg.LineInsts <= 0 || cfg.LineInsts&(cfg.LineInsts-1) != 0 {
-		panic("fetch: collapsing-buffer line size must be a positive power of two")
-	}
-	if cfg.Lines <= 0 {
-		panic("fetch: collapsing buffer needs at least one line per cycle")
-	}
-	return &CollapsingBuffer{s: s, c: ctrl{bp: bp}, cfg: cfg}
+// NewCollapsingBufferSource returns a collapsing-buffer engine over a
+// streaming record source: memory stays O(window) at any trace length,
+// and delivered Group.Recs views are valid only until the next NextGroup
+// call (see Group). A *trace.SliceSource is detected and unwrapped to the
+// zero-copy flat path.
+func NewCollapsingBufferSource(src trace.Source, bp btb.Predictor) *CollapsingBuffer {
+	return &CollapsingBuffer{s: newStream(src), c: ctrl{bp: bp}}
 }
 
 // Stats implements Engine.
@@ -62,16 +38,16 @@ func (e *CollapsingBuffer) Stats() Stats { return e.stats }
 
 // lineEnd returns the first address past the aligned cache line of pc.
 func (e *CollapsingBuffer) lineEnd(pc uint64) uint64 {
-	lineBytes := uint64(e.cfg.LineInsts * 4)
+	const lineBytes = cbLineInsts * 4
 	return (pc &^ (lineBytes - 1)) + lineBytes
 }
 
-// NextGroup implements Engine. Each cycle reads up to cfg.Lines cache
-// lines: fetch proceeds within a line through not-taken branches (the
-// collapsing buffer squeezes them out); a taken control transfer ends the
-// current line's contribution and redirects the next line read to its
-// target. Instructions are delivered until the last permitted line is
-// exhausted or a misprediction occurs.
+// NextGroup implements Engine. Each cycle reads up to two cache lines:
+// fetch proceeds within a line through not-taken branches (the collapsing
+// buffer squeezes them out); a taken control transfer ends the current
+// line's contribution and redirects the next line read to its target.
+// Instructions are delivered until the last permitted line is exhausted
+// or a misprediction occurs.
 func (e *CollapsingBuffer) NextGroup(maxInsts int) (Group, bool) {
 	if e.s.eof() {
 		return Group{}, false
@@ -88,7 +64,7 @@ func (e *CollapsingBuffer) NextGroup(maxInsts int) (Group, bool) {
 			break
 		}
 		if newLine {
-			if linesUsed >= e.cfg.Lines {
+			if linesUsed == cbLines {
 				break
 			}
 			linesUsed++

@@ -4,12 +4,18 @@ import (
 	"testing"
 
 	"valuepred/internal/btb"
+	"valuepred/internal/trace"
 	"valuepred/internal/workload"
 )
 
+// newCB returns a collapsing-buffer engine over recs.
+func newCB(recs []trace.Rec, bp btb.Predictor) *CollapsingBuffer {
+	return NewCollapsingBufferSource(trace.NewSliceSource(recs), bp)
+}
+
 func TestCollapsingBufferDelivery(t *testing.T) {
 	recs := loopTrace(t, 100, 4) // 6-inst iterations with a taken back edge
-	e := NewCollapsingBuffer(recs, btb.NewPerfect(), DefaultCBConfig())
+	e := newCB(recs, btb.NewPerfect())
 	var seq uint64
 	groups := drain(t, e, 40)
 	for _, g := range groups {
@@ -28,13 +34,12 @@ func TestCollapsingBufferDelivery(t *testing.T) {
 	}
 }
 
-// TestCollapsingBufferLineLimits: each group touches at most cfg.Lines
-// cache lines, so its instructions come from at most that many aligned
-// regions / taken-branch targets.
+// TestCollapsingBufferLineLimits: each group touches at most two cache
+// lines, so its instructions come from at most that many aligned regions /
+// taken-branch targets.
 func TestCollapsingBufferLineLimits(t *testing.T) {
 	recs := loopTrace(t, 300, 1) // 3-inst iterations: many taken branches
-	cfg := DefaultCBConfig()
-	e := NewCollapsingBuffer(recs, btb.NewPerfect(), cfg)
+	e := newCB(recs, btb.NewPerfect())
 	for _, g := range drain(t, e, 1<<20) {
 		taken := 0
 		for _, r := range g.Recs {
@@ -44,39 +49,35 @@ func TestCollapsingBufferLineLimits(t *testing.T) {
 		}
 		// With 2 lines per cycle at most one taken branch can be crossed
 		// (the second line's terminating taken branch ends the group).
-		if taken > cfg.Lines {
-			t.Fatalf("group crossed %d taken branches with %d lines", taken, cfg.Lines)
+		if taken > cbLines {
+			t.Fatalf("group crossed %d taken branches with %d lines", taken, cbLines)
 		}
-		if len(g.Recs) > cfg.Lines*cfg.LineInsts {
+		if len(g.Recs) > cbLines*cbLineInsts {
 			t.Fatalf("group of %d insts exceeds %d lines of %d",
-				len(g.Recs), cfg.Lines, cfg.LineInsts)
+				len(g.Recs), cbLines, cbLineInsts)
 		}
 	}
 }
 
-// TestCollapsingBufferBeatsSingleLine: two lines per cycle must deliver at
-// least the bandwidth of one line per cycle.
+// TestCollapsingBufferBandwidth: with a perfect BTB and a fetch limit
+// above two lines, every cycle but the last reads exactly two line
+// segments, a segment being a run of sequential instructions within one
+// aligned 16-instruction (64-byte) line. Counting the segments straight
+// from the trace, the engine must take half as many cycles, rounded up.
 func TestCollapsingBufferBandwidth(t *testing.T) {
 	recs := workload.MustTrace("ijpeg", 1, 20_000)
-	cycles := func(lines int) uint64 {
-		cfg := DefaultCBConfig()
-		cfg.Lines = lines
-		e := NewCollapsingBuffer(recs, btb.NewPerfect(), cfg)
-		var n uint64
-		for {
-			if _, ok := e.NextGroup(64); !ok {
-				break
-			}
-			n++
+	segments := 0
+	for i, r := range recs {
+		if i == 0 || recs[i-1].Op.IsControl() && recs[i-1].Taken || r.PC/64 != recs[i-1].PC/64 {
+			segments++
 		}
-		return n
 	}
-	one, two := cycles(1), cycles(2)
-	if two > one {
-		t.Errorf("2-line fetch needs more cycles (%d) than 1-line (%d)", two, one)
+	e := newCB(recs, btb.NewPerfect())
+	if got, want := len(drain(t, e, 64)), (segments+1)/2; got != want {
+		t.Errorf("%d cycles for %d line segments, want %d", got, segments, want)
 	}
-	if two == one {
-		t.Error("second line added no bandwidth on a loopy workload")
+	if e.Stats().Insts != uint64(len(recs)) {
+		t.Errorf("delivered %d of %d", e.Stats().Insts, len(recs))
 	}
 }
 
@@ -84,23 +85,22 @@ func TestCollapsingBufferFallThroughLines(t *testing.T) {
 	// A straight-line block longer than one cache line must consume two
 	// line reads in a cycle.
 	recs := loopTrace(t, 10, 40) // 42-inst iterations span 3 lines
-	cfg := DefaultCBConfig()
-	e := NewCollapsingBuffer(recs, btb.NewPerfect(), cfg)
+	e := newCB(recs, btb.NewPerfect())
 	g, ok := e.NextGroup(1 << 10)
 	if !ok {
 		t.Fatal("no group")
 	}
-	if len(g.Recs) > cfg.Lines*cfg.LineInsts {
+	if len(g.Recs) > cbLines*cbLineInsts {
 		t.Fatalf("group of %d exceeds two lines", len(g.Recs))
 	}
-	if len(g.Recs) <= cfg.LineInsts {
+	if len(g.Recs) <= cbLineInsts {
 		t.Errorf("group of %d did not use the second line", len(g.Recs))
 	}
 }
 
 func TestCollapsingBufferMispredict(t *testing.T) {
 	recs := loopTrace(t, 50, 4)
-	e := NewCollapsingBuffer(recs, btb.NewTwoLevel(btb.DefaultTwoLevelConfig()), DefaultCBConfig())
+	e := newCB(recs, btb.NewTwoLevel(btb.DefaultTwoLevelConfig()))
 	sawMis := false
 	for _, g := range drain(t, e, 64) {
 		if g.Mispredict {
@@ -112,18 +112,5 @@ func TestCollapsingBufferMispredict(t *testing.T) {
 	}
 	if !sawMis {
 		t.Error("cold BTB never mispredicted")
-	}
-}
-
-func TestCollapsingBufferConfigPanics(t *testing.T) {
-	for _, cfg := range []CBConfig{{LineInsts: 0, Lines: 2}, {LineInsts: 12, Lines: 2}, {LineInsts: 16, Lines: 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("config %+v did not panic", cfg)
-				}
-			}()
-			NewCollapsingBuffer(nil, btb.NewPerfect(), cfg)
-		}()
 	}
 }

@@ -240,14 +240,13 @@ func TestTraceCacheCrossesTakenBranches(t *testing.T) {
 
 func TestTraceCacheLineLimits(t *testing.T) {
 	recs := loopTrace(t, 400, 1)
-	cfg := DefaultTCConfig()
-	e := NewTraceCache(recs, btb.NewPerfect(), cfg)
+	e := NewTraceCache(recs, btb.NewPerfect(), DefaultTCConfig())
 	for _, g := range drain(t, e, 1<<20) {
 		if !g.FromTraceCache {
 			continue
 		}
-		if len(g.Recs) > cfg.MaxLineInsts {
-			t.Fatalf("line of %d insts exceeds max %d", len(g.Recs), cfg.MaxLineInsts)
+		if len(g.Recs) > tcMaxLineInsts {
+			t.Fatalf("line of %d insts exceeds max %d", len(g.Recs), tcMaxLineInsts)
 		}
 		controls := 0
 		for _, r := range g.Recs {
@@ -255,8 +254,8 @@ func TestTraceCacheLineLimits(t *testing.T) {
 				controls++
 			}
 		}
-		if controls > cfg.MaxLineBlocks {
-			t.Fatalf("line with %d blocks exceeds max %d", controls, cfg.MaxLineBlocks)
+		if controls > tcMaxLineBlocks {
+			t.Fatalf("line with %d blocks exceeds max %d", controls, tcMaxLineBlocks)
 		}
 	}
 }
@@ -319,23 +318,6 @@ func TestTraceCacheWithRealBTBStaysOnPath(t *testing.T) {
 	}
 	if seq != uint64(len(recs)) {
 		t.Errorf("delivered %d of %d", seq, len(recs))
-	}
-}
-
-func TestTraceCacheConfigPanics(t *testing.T) {
-	for _, cfg := range []TCConfig{
-		{Entries: 0, MaxLineInsts: 32, MaxLineBlocks: 6, CoreMaxInsts: 16},
-		{Entries: 3, MaxLineInsts: 32, MaxLineBlocks: 6, CoreMaxInsts: 16},
-		{Entries: 64, MaxLineInsts: 0, MaxLineBlocks: 6, CoreMaxInsts: 16},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("config %+v did not panic", cfg)
-				}
-			}()
-			NewTraceCache(nil, btb.NewPerfect(), cfg)
-		}()
 	}
 }
 

@@ -7,21 +7,19 @@ import (
 	"valuepred/internal/trace"
 )
 
-// TCConfig parameterises the trace cache (the paper uses the organisation
-// of Rotenberg et al.: 64 direct-mapped entries, each holding up to 32
-// instructions or 6 basic blocks, backed by a conventional core fetch path
-// that delivers up to one taken branch per cycle).
+// The trace cache has the organisation of Rotenberg et al. that the paper
+// uses: 64 direct-mapped lines, each holding up to 32 instructions or 6
+// basic blocks, backed by a conventional core fetch path that delivers up
+// to 16 instructions and one taken branch per cycle.
+const (
+	tcEntries       = 64 // a power of two, so a line index is a mask
+	tcMaxLineInsts  = 32
+	tcMaxLineBlocks = 6
+	tcCoreMaxInsts  = 16
+)
+
+// TCConfig parameterises the trace cache.
 type TCConfig struct {
-	// Entries is the number of trace-cache lines (power of two; paper: 64).
-	Entries int
-	// MaxLineInsts is the instruction capacity of a line (paper: 32).
-	MaxLineInsts int
-	// MaxLineBlocks is the basic-block capacity of a line (paper: 6).
-	MaxLineBlocks int
-	// CoreMaxInsts bounds the core (instruction-cache) fetch path width.
-	CoreMaxInsts int
-	// CoreMaxTaken bounds taken branches per cycle on the core path.
-	CoreMaxTaken int
 	// PartialMatching enables the improvement of Friendly, Patel & Patt
 	// (the paper's reference [6]): when the branch predictor disagrees
 	// with a line's embedded outcome at some branch, the matching prefix
@@ -30,10 +28,9 @@ type TCConfig struct {
 	PartialMatching bool
 }
 
-// DefaultTCConfig returns the paper's Section 5 trace-cache organisation.
-func DefaultTCConfig() TCConfig {
-	return TCConfig{Entries: 64, MaxLineInsts: 32, MaxLineBlocks: 6, CoreMaxInsts: 16, CoreMaxTaken: 1}
-}
+// DefaultTCConfig returns the paper's Section 5 trace cache, without
+// partial matching.
+func DefaultTCConfig() TCConfig { return TCConfig{} }
 
 // lineInst is one instruction slot of a trace-cache line: its address and,
 // for control instructions, the embedded branch outcome the trace was
@@ -60,7 +57,6 @@ type TraceCache struct {
 	c     ctrl
 	cfg   TCConfig
 	lines []tcLine
-	mask  uint64
 
 	// Fill unit state. Instructions are buffered per basic block and lines
 	// are composed of whole blocks, so every line starts at a block entry —
@@ -82,7 +78,7 @@ func NewTraceCache(recs []trace.Rec, bp btb.Predictor, cfg TCConfig) *TraceCache
 
 // NewTraceCacheSource is NewTraceCache over a streaming record source: the
 // engine buffers a bounded window (the line-selection phase peeks up to
-// MaxLineInsts records ahead), so memory stays O(window + lines) at any
+// a line's 32 records ahead), so memory stays O(window + lines) at any
 // trace length. Delivered Group.Recs views are valid only until the next
 // NextGroup call (see Group). A *trace.SliceSource is detected and
 // unwrapped to the zero-copy flat path.
@@ -91,25 +87,13 @@ func NewTraceCacheSource(src trace.Source, bp btb.Predictor, cfg TCConfig) *Trac
 }
 
 func newTraceCache(s stream, bp btb.Predictor, cfg TCConfig) *TraceCache {
-	if cfg.Entries <= 0 || cfg.Entries&(cfg.Entries-1) != 0 {
-		panic("fetch: trace cache entries must be a positive power of two")
-	}
-	if cfg.MaxLineInsts <= 0 || cfg.MaxLineBlocks <= 0 || cfg.CoreMaxInsts <= 0 {
-		panic("fetch: invalid trace cache configuration")
-	}
-	return &TraceCache{
-		s:     s,
-		c:     ctrl{bp: bp},
-		cfg:   cfg,
-		lines: make([]tcLine, cfg.Entries),
-		mask:  uint64(cfg.Entries - 1),
-	}
+	return &TraceCache{s: s, c: ctrl{bp: bp}, cfg: cfg, lines: make([]tcLine, tcEntries)}
 }
 
 // Stats implements Engine.
 func (e *TraceCache) Stats() Stats { return e.stats }
 
-func (e *TraceCache) index(pc uint64) *tcLine { return &e.lines[(pc>>2)&e.mask] }
+func (e *TraceCache) index(pc uint64) *tcLine { return &e.lines[(pc>>2)&(tcEntries-1)] }
 
 // NextGroup implements Engine.
 func (e *TraceCache) NextGroup(maxInsts int) (Group, bool) {
@@ -204,16 +188,12 @@ func (e *TraceCache) tryLine(line *tcLine, maxInsts int) (Group, bool, bool) {
 }
 
 // coreFetch is the backing instruction-cache path: contiguous fetch up to
-// CoreMaxInsts instructions and CoreMaxTaken taken branches. Its delivered
+// tcCoreMaxInsts instructions and one taken branch. Its delivered
 // instructions feed the fill unit.
 func (e *TraceCache) coreFetch(maxInsts int) Group {
-	limit := e.cfg.CoreMaxInsts
-	if maxInsts < limit {
-		limit = maxInsts
-	}
+	limit := min(maxInsts, tcCoreMaxInsts)
 	var g Group
 	start := e.s.mark()
-	taken := 0
 	for e.s.pos-start < limit {
 		rec, ok := e.s.peek(0)
 		if !ok {
@@ -232,10 +212,7 @@ func (e *TraceCache) coreFetch(maxInsts int) Group {
 				break
 			}
 			if rec.Taken {
-				taken++
-				if e.cfg.CoreMaxTaken >= 0 && taken >= e.cfg.CoreMaxTaken {
-					break
-				}
+				break
 			}
 			continue
 		}
@@ -262,7 +239,7 @@ func (e *TraceCache) fill(rec trace.Rec) {
 		isJAL:     rec.Op == isa.JAL,
 		taken:     rec.Taken,
 	})
-	if rec.Op.IsControl() || len(e.blockBuf) >= e.cfg.MaxLineInsts {
+	if rec.Op.IsControl() || len(e.blockBuf) >= tcMaxLineInsts {
 		e.closeBlock()
 	}
 }
@@ -275,14 +252,14 @@ func (e *TraceCache) closeBlock() {
 	}
 	if len(e.pending) == 0 {
 		e.pendingStart = e.blockStart
-	} else if len(e.pending)+len(e.blockBuf) > e.cfg.MaxLineInsts {
+	} else if len(e.pending)+len(e.blockBuf) > tcMaxLineInsts {
 		e.finalize()
 		e.pendingStart = e.blockStart
 	}
 	e.pending = append(e.pending, e.blockBuf...)
 	e.blockBuf = e.blockBuf[:0]
 	e.pendingBlks++
-	if e.pendingBlks >= e.cfg.MaxLineBlocks || len(e.pending) >= e.cfg.MaxLineInsts {
+	if e.pendingBlks >= tcMaxLineBlocks || len(e.pending) >= tcMaxLineInsts {
 		e.finalize()
 	}
 }

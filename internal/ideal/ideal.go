@@ -1,5 +1,6 @@
 // Package ideal implements the paper's Section 3 machine model: an ideal
-// execution environment limited only by true-data dependencies, the
+// execution environment limited only by true-data dependencies (through
+// registers, and from a store to a later load of its address), the
 // instruction window size and an artificial fetch/issue width. Control
 // dependencies, name dependencies and structural conflicts do not exist;
 // every instruction has unit latency; the machine has a four-stage pipeline
@@ -11,8 +12,10 @@
 // the trace alone and Run can replay one recorded by
 // predictor.RecordOutcomes; a consumer whose producer's output was
 // correctly predicted (and endorsed by the classifier) may execute before
-// that producer does. A correct prediction is only *useful* when the
-// consumer would otherwise have waited — the paper's central measurement.
+// that producer does, and the consumer of a wrong value reschedules at
+// once, as if nothing had been predicted. A correct prediction is only
+// *useful* when the consumer would otherwise have waited — the paper's
+// central measurement.
 package ideal
 
 import (
@@ -39,14 +42,6 @@ type Config struct {
 	// Predictor: the two are exclusive, and Run rejects a stream whose
 	// length differs from the trace's.
 	Outcomes *predictor.Outcomes
-	// IncludeMemoryDeps makes a load depend on the most recent store to
-	// the same address (the value can still be predicted away).
-	IncludeMemoryDeps bool
-	// MispredictPenalty is the extra delay, beyond normal producer-to-
-	// consumer forwarding, suffered by a consumer that speculated on a
-	// wrong value (Section 3: 0, instant reschedule). Run rejects values
-	// outside [0, 1024].
-	MispredictPenalty int
 	// OracleVP models the perfect value predictor of the Table 3.2
 	// walk-through: every value-producing instruction is predicted
 	// correctly. It overrides Predictor and Outcomes.
@@ -65,7 +60,7 @@ type Config struct {
 // DefaultConfig returns the paper's Section 3 configuration at the given
 // fetch width, without a predictor.
 func DefaultConfig(width int) Config {
-	return Config{FetchWidth: width, WindowSize: 40, IncludeMemoryDeps: true}
+	return Config{FetchWidth: width, WindowSize: 40}
 }
 
 // Result reports the simulation outcome.
@@ -106,27 +101,20 @@ func Speedup(base, r Result) float64 {
 	return (r.IPC()/base.IPC() - 1) * 100
 }
 
-// maxPenalty is the largest MispredictPenalty Run accepts. It bounds the
-// clock's ring, which spans up to WindowSize×(1+penalty)+2 cycles.
-const maxPenalty = 1024
-
 // producer is the latest writer of a register, as its readers see it.
 type producer struct {
-	exec         uint64 // execute cycle
-	right, wrong bool   // its value was predicted correctly / wrongly
-	useful       uint64 // earliest execute cycle of a consumer it decoupled; 0 if none
+	exec   uint64 // execute cycle
+	right  bool   // its value was predicted correctly
+	useful uint64 // earliest execute cycle of a consumer it decoupled; 0 if none
 }
 
 // readyAt returns the earliest cycle, as far as p is concerned, at which a
 // consumer fetched in cycle fetch may execute. A producer that executed by
 // the consumer's fetch constrains it no more than the pipeline depth does,
 // and a correctly predicted one does not constrain it at all.
-func (p *producer) readyAt(fetch, penalty uint64) uint64 {
-	switch {
-	case p.exec <= fetch || p.right:
+func (p *producer) readyAt(fetch uint64) uint64 {
+	if p.exec <= fetch || p.right {
 		return 0
-	case p.wrong:
-		return p.exec + 1 + penalty
 	}
 	return p.exec + 1
 }
@@ -187,13 +175,12 @@ func (c *clock) tick() {
 //   - it is fetched in the first cycle, no earlier than its predecessor's,
 //     that still has fetch bandwidth and a free window slot;
 //   - it executes at the latest of fetch+2, producer+1 for each operand
-//     whose in-flight producer was not predicted, and producer+1+penalty
-//     for each whose in-flight producer was mispredicted;
+//     whose in-flight producer was not predicted correctly, and, for a
+//     load, the execute cycle of the latest store to its address plus 1;
 //   - a correctly predicted in-flight producer adds no constraint, and
 //     counts once in Used if some consumer executes no later than it does.
 func Run(src trace.Source, cfg Config) (Result, error) {
-	if cfg.FetchWidth <= 0 || cfg.WindowSize <= 0 ||
-		cfg.MispredictPenalty < 0 || cfg.MispredictPenalty > maxPenalty {
+	if cfg.FetchWidth <= 0 || cfg.WindowSize <= 0 {
 		return Result{}, fmt.Errorf("ideal: invalid config %+v", cfg)
 	}
 	if cfg.Predictor != nil && cfg.Outcomes != nil {
@@ -203,7 +190,6 @@ func Run(src trace.Source, cfg Config) (Result, error) {
 	s := getScratch() // the store map and the ring's array, reused across runs
 	defer putScratch(s)
 	var regs [32]producer
-	penalty := uint64(cfg.MispredictPenalty)
 	clk := clock{now: 1, ring: s.ring, o: cfg.Obs} // Obs is nil when disabled
 
 	for {
@@ -218,18 +204,18 @@ func Run(src trace.Source, cfg Config) (Result, error) {
 		clk.fetched++
 
 		// Value prediction: looked up and updated at fetch, or replayed.
-		var right, wrong bool
+		var confident, right bool
 		if cfg.OracleVP && rec.WritesValue() {
-			right = true
+			confident, right = true, true
 		} else if (cfg.Predictor != nil || cfg.Outcomes != nil) && rec.WritesValue() {
 			if cfg.Outcomes != nil && res.Insts >= uint64(cfg.Outcomes.Len()) {
 				return Result{}, errOutcomesLen(cfg.Outcomes)
 			}
-			if confident, correct := predictor.Step(cfg.Predictor, cfg.Outcomes, int(res.Insts), &rec); confident {
-				right, wrong = correct, !correct
+			if c, correct := predictor.Step(cfg.Predictor, cfg.Outcomes, int(res.Insts), &rec); c {
+				confident, right = true, correct
 			}
 		}
-		if right || wrong {
+		if confident {
 			res.Attempted++
 			if right {
 				res.Correct++
@@ -248,9 +234,9 @@ func Run(src trace.Source, cfg Config) (Result, error) {
 		}
 		exec := fetch + 2
 		for _, r := range rs {
-			exec = max(exec, regs[r].readyAt(fetch, penalty))
+			exec = max(exec, regs[r].readyAt(fetch))
 		}
-		if cfg.IncludeMemoryDeps && rec.Op.IsLoad() {
+		if rec.Op.IsLoad() {
 			// Stores are never predicted; an absent address reads as 0.
 			exec = max(exec, s.stores[rec.Addr]+1)
 		}
@@ -273,9 +259,9 @@ func Run(src trace.Source, cfg Config) (Result, error) {
 		}
 
 		if rec.WritesValue() {
-			regs[rec.Rd] = producer{exec: exec, right: right, wrong: wrong}
+			regs[rec.Rd] = producer{exec: exec, right: right}
 		}
-		if cfg.IncludeMemoryDeps && rec.Op.IsStore() {
+		if rec.Op.IsStore() {
 			s.stores[rec.Addr] = exec
 		}
 		clk.at(exec).exec++

@@ -166,11 +166,10 @@ func TestSpeedupMonotoneInWidth(t *testing.T) {
 	}
 }
 
+// TestMemoryDependencyEnforced: a load waits for the latest store to its
+// address, here at the end of a 10-deep chain, and so executes after it.
 func TestMemoryDependencyEnforced(t *testing.T) {
-	// store (value from a slow chain) -> load -> consumer; without VP the
-	// load waits for the store.
 	var recs []trace.Rec
-	// Build a 10-deep chain to delay the store value.
 	for i := 0; i < 10; i++ {
 		recs = append(recs, trace.Rec{Seq: uint64(i), PC: isa.PCOf(i), Op: isa.ADDI,
 			Rd: isa.T0, Rs1: isa.T0, Val: uint64(i)})
@@ -179,19 +178,14 @@ func TestMemoryDependencyEnforced(t *testing.T) {
 		trace.Rec{Seq: 10, PC: isa.PCOf(10), Op: isa.SD, Rs1: isa.SP, Rs2: isa.T0, Addr: 8, Val: 9},
 		trace.Rec{Seq: 11, PC: isa.PCOf(11), Op: isa.LD, Rd: isa.T1, Rs1: isa.SP, Addr: 8, Val: 9},
 	)
+	exec := make(map[uint64]uint64)
 	cfg := DefaultConfig(40)
-	withMem, err := Run(trace.NewSliceSource(recs), cfg)
-	if err != nil {
+	cfg.Observer = func(seq, fetch, ex uint64) { exec[seq] = ex }
+	if _, err := Run(trace.NewSliceSource(recs), cfg); err != nil {
 		t.Fatal(err)
 	}
-	cfg.IncludeMemoryDeps = false
-	noMem, err := Run(trace.NewSliceSource(recs), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withMem.Cycles <= noMem.Cycles {
-		t.Errorf("memory dependence had no timing effect: %d vs %d cycles",
-			withMem.Cycles, noMem.Cycles)
+	if exec[11] != exec[10]+1 {
+		t.Errorf("load executed at cycle %d, its store at %d", exec[11], exec[10])
 	}
 }
 
@@ -212,23 +206,26 @@ func mispredictedChain() []trace.Rec {
 	return recs
 }
 
+// TestMispredictPenalty: the consumer of a wrong value reschedules at once
+// (Section 3), so a predictor that is always confident and never right
+// costs no cycle over no prediction at all.
 func TestMispredictPenalty(t *testing.T) {
-	// A consumer of a hard-to-predict chain: penalties should increase
-	// cycles when the classifier consumes wrong values. Use a predictor
-	// without classification so mispredictions are consumed.
 	recs := mispredictedChain()
-	run := func(penalty int) uint64 {
-		cfg := DefaultConfig(8)
-		cfg.Predictor = predictor.NewStride() // always confident, mostly wrong
-		cfg.MispredictPenalty = penalty
-		res, err := Run(trace.NewSliceSource(recs), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Cycles
+	cfg := DefaultConfig(8)
+	base, err := Run(trace.NewSliceSource(recs), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if run(3) <= run(0) {
-		t.Error("misprediction penalty had no effect")
+	cfg.Predictor = predictor.NewStride()
+	vp, err := Run(trace.NewSliceSource(recs), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vp.Attempted == 0 || vp.Correct != 0 {
+		t.Fatalf("want only wrong predictions, got %+v", vp)
+	}
+	if vp.Cycles != base.Cycles {
+		t.Errorf("%d cycles with consumed mispredictions, %d without prediction", vp.Cycles, base.Cycles)
 	}
 }
 
@@ -238,22 +235,6 @@ func TestInvalidConfig(t *testing.T) {
 	}
 	if _, err := Run(trace.NewSliceSource(nil), Config{FetchWidth: 4}); err == nil {
 		t.Error("zero window accepted")
-	}
-	// A negative penalty would wrap in the uint64 cycle arithmetic and let
-	// consumers execute before their producers; one above maxPenalty would
-	// let the cycle ring grow without a useful bound.
-	for _, penalty := range []int{-1, maxPenalty + 1} {
-		cfg := DefaultConfig(8)
-		cfg.Predictor = predictor.NewStride()
-		cfg.MispredictPenalty = penalty
-		if _, err := Run(trace.NewSliceSource(mispredictedChain()), cfg); err == nil {
-			t.Errorf("penalty %d accepted", penalty)
-		}
-	}
-	cfg := DefaultConfig(8)
-	cfg.MispredictPenalty = maxPenalty
-	if _, err := Run(trace.NewSliceSource(mispredictedChain()), cfg); err != nil {
-		t.Errorf("penalty %d rejected: %v", maxPenalty, err)
 	}
 }
 

@@ -17,9 +17,11 @@ import (
 // differential oracle for the one-pass recurrence: TestRunMatchesOracle
 // and FuzzRunMatchesOracle require both engines to agree on Result, on
 // every (seq, fetch, exec) triple and on the Obs output. The scheduling
-// code is the old engine's, unchanged apart from its name; only the pooled
-// arenas it drew its entries from are replaced by plain allocation, which
-// changes no timing.
+// code is the old engine's, under Section 3's fixed rules: the consumer of
+// a wrong value waits for the producer like any other consumer, and a load
+// depends on the latest store to its address. The pooled arenas it drew
+// its entries from are replaced by plain allocation, which changes no
+// timing.
 
 // producerInfo is the bookkeeping for one in-flight (or executed) dynamic
 // instruction viewed as a producer.
@@ -38,22 +40,19 @@ type windowEntry struct {
 	earliest  uint64 // fetch cycle + 2 (pipeline depth)
 	availAt   uint64 // max availability over resolved operand constraints
 	prod      *producerInfo
-	waitOn    []*producerInfo // unpredicted in-flight producers
-	mispredOn []*producerInfo // consumed mispredictions, still in flight
+	waitOn    []*producerInfo // in-flight producers not predicted correctly
 	specOn    []*producerInfo // correct predictions being speculated on
 }
 
 // ready reports whether the entry can execute at cycle.
 func (w *windowEntry) ready(cycle uint64) bool {
-	return len(w.waitOn) == 0 && len(w.mispredOn) == 0 &&
-		w.earliest <= cycle && w.availAt <= cycle
+	return len(w.waitOn) == 0 && w.earliest <= cycle && w.availAt <= cycle
 }
 
 // addDep records one operand dependence on producer p, classifying it the
 // way the paper's protocol does: an already executed producer just bounds
-// availAt; a correctly predicted in-flight producer is speculated past; a
-// consumed misprediction delays until the real value arrives; everything
-// else is a plain wait.
+// availAt; a correctly predicted in-flight producer is speculated past;
+// everything else, a consumed misprediction included, is a plain wait.
 func (w *windowEntry) addDep(p *producerInfo) {
 	switch {
 	case p == nil:
@@ -64,15 +63,13 @@ func (w *windowEntry) addDep(p *producerInfo) {
 		}
 	case p.predicted && p.correct:
 		w.specOn = append(w.specOn, p)
-	case p.predicted: // consumed misprediction
-		w.mispredOn = append(w.mispredOn, p)
 	default:
 		w.waitOn = append(w.waitOn, p)
 	}
 }
 
 // resolve folds newly executed producers into availAt.
-func (w *windowEntry) resolve(penalty uint64) {
+func (w *windowEntry) resolve() {
 	n := 0
 	for _, p := range w.waitOn {
 		if p.done {
@@ -85,18 +82,6 @@ func (w *windowEntry) resolve(penalty uint64) {
 		}
 	}
 	w.waitOn = w.waitOn[:n]
-	n = 0
-	for _, p := range w.mispredOn {
-		if p.done {
-			if at := p.execCycle + 1 + penalty; at > w.availAt {
-				w.availAt = at
-			}
-		} else {
-			w.mispredOn[n] = p
-			n++
-		}
-	}
-	w.mispredOn = w.mispredOn[:n]
 }
 
 // oracleRun simulates the trace under cfg by stepping the machine one
@@ -110,7 +95,6 @@ func oracleRun(src trace.Source, cfg Config) (Result, error) {
 	var regProd [32]*producerInfo
 	memProd := make(map[uint64]*producerInfo)
 	var window []*windowEntry
-	penalty := uint64(cfg.MispredictPenalty)
 
 	o := cfg.Obs // nil when instrumentation is disabled
 
@@ -124,7 +108,7 @@ func oracleRun(src trace.Source, cfg Config) (Result, error) {
 		executed := 0
 		n := 0
 		for _, w := range window {
-			w.resolve(penalty)
+			w.resolve()
 			if w.ready(cycle) {
 				w.prod.execCycle = cycle
 				w.prod.done = true
@@ -196,14 +180,14 @@ func oracleRun(src trace.Source, cfg Config) (Result, error) {
 			if rec.Op.ReadsRs2() && rec.Rs2 != 0 {
 				w.addDep(regProd[rec.Rs2])
 			}
-			if cfg.IncludeMemoryDeps && rec.Op.IsLoad() {
+			if rec.Op.IsLoad() {
 				w.addDep(memProd[rec.Addr])
 			}
 
 			if rec.WritesValue() {
 				regProd[rec.Rd] = w.prod
 			}
-			if cfg.IncludeMemoryDeps && rec.Op.IsStore() {
+			if rec.Op.IsStore() {
 				memProd[rec.Addr] = w.prod
 			}
 			window = append(window, w)
@@ -312,8 +296,7 @@ func compare(t testing.TB, label string, recs []trace.Rec, cfg Config, newPred f
 		}
 		return cfg
 	}
-	label = fmt.Sprintf("%s width=%d window=%d penalty=%d mem=%v oracleVP=%v", label,
-		cfg.FetchWidth, cfg.WindowSize, cfg.MispredictPenalty, cfg.IncludeMemoryDeps, cfg.OracleVP)
+	label = fmt.Sprintf("%s width=%d window=%d oracleVP=%v", label, cfg.FetchWidth, cfg.WindowSize, cfg.OracleVP)
 	want := observe(t, oracleRun, recs, with(cfg), true)
 	if d := want.diff(observe(t, Run, recs, with(cfg), true)); d != "" {
 		t.Errorf("%s: %s", label, d)
@@ -334,7 +317,7 @@ func compare(t testing.TB, label string, recs []trace.Rec, cfg Config, newPred f
 // TestRunMatchesOracle requires the one-pass engine to reproduce the
 // cycle-stepped oracle on every workload, at the paper's fetch widths plus
 // width 1, with no value prediction, three real predictors and the perfect
-// one, at penalties 0 and 3, with and without memory dependences.
+// one.
 func TestRunMatchesOracle(t *testing.T) {
 	n := 1_000
 	if testing.Short() {
@@ -357,15 +340,9 @@ func TestRunMatchesOracle(t *testing.T) {
 			t.Parallel()
 			for _, w := range []int{1, 4, 8, 16, 32, 40} {
 				for _, p := range preds {
-					for _, penalty := range []int{0, 3} {
-						for _, mem := range []bool{true, false} {
-							cfg := DefaultConfig(w)
-							cfg.OracleVP = p.oracle
-							cfg.MispredictPenalty = penalty
-							cfg.IncludeMemoryDeps = mem
-							compare(t, name+"/"+p.name, recs, cfg, p.new)
-						}
-					}
+					cfg := DefaultConfig(w)
+					cfg.OracleVP = p.oracle
+					compare(t, name+"/"+p.name, recs, cfg, p.new)
 				}
 			}
 		})
@@ -375,13 +352,14 @@ func TestRunMatchesOracle(t *testing.T) {
 // FuzzRunMatchesOracle feeds random traces through both engines: loads and
 // stores on four addresses, ALU operations and branches on four registers
 // (x0 among them), values from a small set so that the stride predictor is
-// sometimes right, and a random fetch width, window size, penalty and
-// predictor. The stride predictor without a classifier consumes many
-// mispredictions.
+// sometimes right, and a random fetch width, window size and predictor.
+// The stride predictor without a classifier consumes many mispredictions.
+// The penalty argument and mode's low bit choose nothing; they stay so
+// that the committed corpus still decodes.
 func FuzzRunMatchesOracle(f *testing.F) {
 	f.Add([]byte{0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99}, uint8(4), uint8(8), uint8(0), uint8(1))
 	f.Add([]byte("a long chain of dependent records with stores and loads"), uint8(1), uint8(2), uint8(3), uint8(2))
-	f.Fuzz(func(t *testing.T, data []byte, width, window, penalty, mode uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, width, window, _, mode uint8) {
 		ops := []isa.Opcode{isa.ADD, isa.ADDI, isa.LI, isa.LD, isa.SD, isa.BEQ, isa.NOP}
 		regs := []isa.Reg{isa.Zero, isa.T0, isa.T1, isa.T2}
 		var recs []trace.Rec
@@ -393,12 +371,7 @@ func FuzzRunMatchesOracle(f *testing.F) {
 				Val: uint64(b >> 6), Addr: uint64(a>>6) * 8,
 			})
 		}
-		cfg := Config{
-			FetchWidth:        1 + int(width%40),
-			WindowSize:        1 + int(window%48),
-			MispredictPenalty: int(penalty % 8),
-			IncludeMemoryDeps: mode&1 == 0,
-		}
+		cfg := Config{FetchWidth: 1 + int(width%40), WindowSize: 1 + int(window%48)}
 		var newPred func() predictor.Predictor
 		switch (mode >> 1) % 4 {
 		case 1:

@@ -13,8 +13,7 @@
 // statement). `//lint:ignore all <reason>` silences every analyzer. The
 // reason is mandatory: a directive without one suppresses nothing and is
 // itself reported as a diagnostic (analyzer "lint"), as is a directive
-// naming an analyzer that is not in the suite. The pre-PR-7 spelling
-// `//vplint:ignore` is accepted as a legacy alias with the same grammar.
+// naming an analyzer that is not in the suite.
 package lint
 
 import (
@@ -131,9 +130,8 @@ type suppression struct {
 
 type suppressionSet []suppression
 
-// directives are the accepted spellings; the first is canonical, the
-// second the pre-PR-7 legacy alias.
-var directives = []string{"//lint:ignore", "//vplint:ignore"}
+// directive starts a suppression comment.
+const directive = "//lint:ignore"
 
 // suppressions collects the ignore directives of every file in pkg. A
 // directive missing its reason, or naming an analyzer outside the suite,
@@ -145,16 +143,8 @@ func suppressions(pkg *loader.Package, known map[string]bool) (suppressionSet, [
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				var rest string
-				matched := false
-				for _, d := range directives {
-					if c.Text == d || strings.HasPrefix(c.Text, d+" ") || strings.HasPrefix(c.Text, d+"\t") {
-						rest = strings.TrimPrefix(c.Text, d)
-						matched = true
-						break
-					}
-				}
-				if !matched {
+				rest, ok := strings.CutPrefix(c.Text, directive)
+				if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())

@@ -66,15 +66,12 @@ type Config struct {
 	// IncludeMemoryDeps makes loads depend on the latest store to the
 	// same address.
 	IncludeMemoryDeps bool
-	// LoadLatency, MulLatency and DivLatency are execution latencies in
-	// cycles for loads, multiplies and divides/remainders (default 1, the
-	// paper's unit-latency model; Run rejects values above 1024).
-	// Functional units are pipelined: latency delays the result, not unit
-	// reuse. Value prediction hides these latencies for correctly
-	// predicted producers (see ablation.latency).
+	// LoadLatency is the execution latency of a load in cycles (default 1,
+	// the paper's unit-latency model, which every other instruction keeps;
+	// Run rejects values above 1024). Functional units are pipelined:
+	// latency delays the result, not unit reuse. Value prediction hides
+	// it for correctly predicted loads (see ablation.latency).
 	LoadLatency int
-	MulLatency  int
-	DivLatency  int
 	// Obs, when non-nil, receives per-cycle stage occupancy, stall causes
 	// and value-prediction outcomes. Observability is strictly write-only:
 	// nothing recorded here feeds back into the simulation, so results are
@@ -85,16 +82,10 @@ type Config struct {
 
 // latencyOf returns the execution latency of an opcode under cfg.
 func (cfg Config) latencyOf(op isa.Opcode) uint64 {
-	lat := 1
-	switch {
-	case op.IsLoad():
-		lat = cfg.LoadLatency
-	case op == isa.MUL:
-		lat = cfg.MulLatency
-	case op == isa.DIV || op == isa.REM:
-		lat = cfg.DivLatency
+	if op.IsLoad() {
+		return uint64(max(cfg.LoadLatency, 1))
 	}
-	return uint64(max(lat, 1))
+	return 1
 }
 
 // DefaultConfig returns the paper's Section 5 machine without value
@@ -103,8 +94,7 @@ func DefaultConfig() Config {
 	return Config{
 		Width: 40, WindowSize: 40, NumFUs: 40,
 		BranchPenalty: 3, ValuePenalty: 0,
-		IncludeMemoryDeps: true,
-		LoadLatency:       1, MulLatency: 1, DivLatency: 1,
+		IncludeMemoryDeps: true, LoadLatency: 1,
 	}
 }
 
@@ -160,9 +150,9 @@ func Speedup(base, r Result) float64 {
 	return (r.IPC()/base.IPC() - 1) * 100
 }
 
-// maxLatency is the largest ValuePenalty, LoadLatency, MulLatency and
-// DivLatency Run accepts: they bound how far past its fetch an instruction
-// can execute, and so the span of the clock's ring.
+// maxLatency is the largest ValuePenalty and LoadLatency Run accepts: they
+// bound how far past its fetch an instruction can execute, and so the span
+// of the clock's ring.
 const maxLatency = 1024
 
 // producer is the latest writer of a register, as its readers see it.
@@ -263,7 +253,7 @@ type machine struct {
 func Run(eng fetch.Engine, cfg Config) (Result, error) {
 	if cfg.Width <= 0 || cfg.WindowSize <= 0 || cfg.NumFUs <= 0 ||
 		cfg.BranchPenalty < 0 || cfg.ValuePenalty < 0 ||
-		max(cfg.ValuePenalty, cfg.LoadLatency, cfg.MulLatency, cfg.DivLatency) > maxLatency {
+		max(cfg.ValuePenalty, cfg.LoadLatency) > maxLatency {
 		return Result{}, fmt.Errorf("pipeline: invalid config %+v", cfg)
 	}
 	if (cfg.Predictor != nil && cfg.Network != nil) || (cfg.Outcomes != nil && (cfg.Predictor != nil || cfg.Network != nil)) {

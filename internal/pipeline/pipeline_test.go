@@ -36,13 +36,11 @@ func TestInvalidConfigs(t *testing.T) {
 			t.Errorf("negative penalty accepted: %+v", cfg)
 		}
 	}
-	// The value penalty and the latencies set the span of the clock's
+	// The value penalty and the load latency set the span of the clock's
 	// ring, so each is bounded; the bound itself is accepted.
 	for _, set := range []func(*Config, int){
 		func(c *Config, v int) { c.ValuePenalty = v },
 		func(c *Config, v int) { c.LoadLatency = v },
-		func(c *Config, v int) { c.MulLatency = v },
-		func(c *Config, v int) { c.DivLatency = v },
 	} {
 		cfg := DefaultConfig()
 		set(&cfg, maxLatency+1)
@@ -414,21 +412,26 @@ func TestLoadLatency(t *testing.T) {
 	}
 }
 
-// TestDivLatency: divide-heavy code (ijpeg quantisation) slows with a
-// non-unit divide latency.
+// TestDivLatency: multiplies, divides and remainders keep the paper's
+// unit latency whatever the load latency: a chain of them, each reading
+// the previous result, executes one per cycle, as a chain of ADDs does.
 func TestDivLatency(t *testing.T) {
-	recs := workload.MustTrace("ijpeg", 1, 60_000)
-	run := func(lat int) float64 {
+	cycles := func(ops ...isa.Opcode) uint64 {
+		var recs []trace.Rec
+		for i := 0; i < 300; i++ {
+			recs = append(recs, trace.Rec{Seq: uint64(i), PC: isa.PCOf(i), Op: ops[i%len(ops)],
+				Rd: isa.T0, Rs1: isa.T0, Rs2: isa.T1})
+		}
 		cfg := DefaultConfig()
-		cfg.DivLatency = lat
-		res, err := Run(fetch.NewSequential(recs, btb.NewPerfect(), 4), cfg)
+		cfg.LoadLatency = 8
+		res, err := Run(fetch.NewSequential(recs, btb.NewPerfect(), -1), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.IPC()
+		return res.Cycles
 	}
-	if run(8) >= run(1) {
-		t.Error("divide latency had no effect on ijpeg")
+	if got, want := cycles(isa.MUL, isa.DIV, isa.REM), cycles(isa.ADD); got != want {
+		t.Errorf("MUL/DIV/REM chain took %d cycles, an ADD chain %d", got, want)
 	}
 }
 

@@ -1,38 +1,25 @@
 package predictor
 
-import "fmt"
-
 // Classifier is the paper's classification unit: a set of per-instruction
-// saturating counters that accumulate confidence in the predictor's output
-// for that instruction. A prediction is endorsed only when the counter is at
-// or above the confidence threshold.
+// 2-bit saturating counters that accumulate confidence in the predictor's
+// output for that instruction. A prediction is endorsed only when its
+// counter is in the upper half, at 2 or 3.
 type Classifier struct {
-	counters  pcTable[uint8]
-	maxCount  uint8
-	threshold uint8
+	counters pcTable[uint8]
 }
 
-// NewClassifier returns a classifier with bits-wide saturating counters
-// (bits in 1..6) endorsing predictions when the counter >= threshold. The
-// paper's configuration is NewClassifier(2, 2): 2-bit counters, predict in
-// the upper half.
-func NewClassifier(bits, threshold int) *Classifier {
-	if bits < 1 || bits > 6 {
-		panic(fmt.Sprintf("predictor: classifier counter width %d out of range", bits))
-	}
-	maxCount := uint8(1<<bits - 1)
-	if threshold < 0 || uint8(threshold) > maxCount {
-		panic(fmt.Sprintf("predictor: classifier threshold %d out of range for %d bits", threshold, bits))
-	}
-	return &Classifier{
-		maxCount:  maxCount,
-		threshold: uint8(threshold),
-	}
-}
+// The counters saturate at classMax and endorse from classThreshold up.
+const (
+	classMax       = 3
+	classThreshold = 2
+)
+
+// NewClassifier returns the paper's classifier, every counter at 0.
+func NewClassifier() *Classifier { return &Classifier{} }
 
 // Confident reports whether the counter for pc endorses speculation.
 func (c *Classifier) Confident(pc uint64) bool {
-	return c.counters.get(pc) >= c.threshold
+	return c.counters.get(pc) >= classThreshold
 }
 
 // Record trains the counter for pc with the correctness of the last
@@ -41,7 +28,7 @@ func (c *Classifier) Confident(pc uint64) bool {
 func (c *Classifier) Record(pc uint64, correct bool) {
 	n := c.counters.at(pc)
 	if correct {
-		if *n < c.maxCount {
+		if *n < classMax {
 			*n++
 		}
 		return
@@ -63,7 +50,7 @@ type Classified struct {
 // NewClassifiedStride returns the paper's Section 3/5 configuration: an
 // infinite stride predictor gated by 2-bit saturating counters.
 func NewClassifiedStride() *Classified {
-	return &Classified{Inner: NewStride(), Class: NewClassifier(2, 2)}
+	return &Classified{Inner: NewStride(), Class: NewClassifier()}
 }
 
 // Name implements Predictor.

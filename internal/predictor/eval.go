@@ -48,13 +48,28 @@ func (a Accuracy) String() string {
 		a.Eligible, a.Attempted, 100*a.HitRate(), 100*a.Coverage(), 100*a.ConfidentHitRate())
 }
 
-// Evaluate runs p over every value-producing record of recs using the
-// lookup-then-update protocol and returns accuracy statistics.
-func Evaluate(p Predictor, recs []trace.Rec) Accuracy {
-	return EvaluateSource(p, trace.NewSliceSource(recs))
+// add counts one value-producing record whose lookup returned pr and
+// whose committed value is actual, and reports whether pr was correct.
+func (a *Accuracy) add(pr Prediction, actual uint64) (correct bool) {
+	correct = pr.Value == actual
+	a.Eligible++
+	if pr.HasValue {
+		a.Attempted++
+		if correct {
+			a.Correct++
+		}
+		if pr.Confident {
+			a.ConfidentAttempted++
+			if correct {
+				a.ConfidentCorrect++
+			}
+		}
+	}
+	return correct
 }
 
-// EvaluateSource is Evaluate over a streaming record source: records are
+// EvaluateSource runs p over every value-producing record of src using the
+// lookup-then-update protocol and returns accuracy statistics. Records are
 // consumed one at a time and never retained, so the trace need not be
 // materialized.
 func EvaluateSource(p Predictor, src trace.Source) Accuracy {
@@ -75,22 +90,8 @@ func evaluate(p Predictor, src trace.Source, o *Outcomes) Accuracy {
 		if !r.WritesValue() {
 			continue
 		}
-		a.Eligible++
 		pr := p.Lookup(r.PC)
-		correct := pr.Value == r.Val
-		if pr.HasValue {
-			a.Attempted++
-			if correct {
-				a.Correct++
-			}
-			if pr.Confident {
-				a.ConfidentAttempted++
-				if correct {
-					a.ConfidentCorrect++
-				}
-			}
-		}
-		if pr.Confident {
+		if correct := a.add(pr, r.Val); pr.Confident {
 			o.set(i, correct)
 		}
 		p.Update(r.PC, r.Val)
@@ -107,13 +108,8 @@ type ClassAccuracy struct {
 	Jump Accuracy
 }
 
-// EvaluateByClass runs p over recs like Evaluate but accumulates accuracy
-// separately per instruction class.
-func EvaluateByClass(p Predictor, recs []trace.Rec) ClassAccuracy {
-	return EvaluateByClassSource(p, trace.NewSliceSource(recs))
-}
-
-// EvaluateByClassSource is EvaluateByClass over a streaming record source.
+// EvaluateByClassSource runs p over src like EvaluateSource but
+// accumulates accuracy separately per instruction class.
 func EvaluateByClassSource(p Predictor, src trace.Source) ClassAccuracy {
 	var ca ClassAccuracy
 	for {
@@ -131,20 +127,7 @@ func EvaluateByClassSource(p Predictor, src trace.Source) ClassAccuracy {
 		case r.Op.IsJump():
 			a = &ca.Jump
 		}
-		a.Eligible++
-		pr := p.Lookup(r.PC)
-		if pr.HasValue {
-			a.Attempted++
-			if pr.Value == r.Val {
-				a.Correct++
-			}
-			if pr.Confident {
-				a.ConfidentAttempted++
-				if pr.Value == r.Val {
-					a.ConfidentCorrect++
-				}
-			}
-		}
+		a.add(p.Lookup(r.PC), r.Val)
 		p.Update(r.PC, r.Val)
 	}
 	return ca

@@ -79,7 +79,7 @@ func (p *FCM) Update(pc uint64, actual uint64) {
 // confidence counters, matching the classification scheme used for the
 // stride predictor.
 func NewClassifiedFCM(order int) *Classified {
-	return &Classified{Inner: NewFCM(order), Class: NewClassifier(2, 2)}
+	return &Classified{Inner: NewFCM(order), Class: NewClassifier()}
 }
 
 var _ Predictor = (*FCM)(nil)

@@ -52,7 +52,7 @@ func NewHybrid(strideEntries int, hints Hints) *Hybrid {
 		last:   NewLastValue(),
 		stride: NewStrideTable(strideEntries),
 		hints:  hints,
-		class:  NewClassifier(2, 2),
+		class:  NewClassifier(),
 	}
 }
 
@@ -139,16 +139,10 @@ func (p *ProfileHints) Kind(pc uint64) (Hint, bool) {
 	return h, ok
 }
 
-// Profile runs last-value and stride predictors over recs and builds hints.
-// minAccuracy is the fraction (0..1) below which an instruction is marked
-// HintNone.
-func Profile(recs []trace.Rec, minAccuracy float64) *ProfileHints {
-	return ProfileSource(trace.NewSliceSource(recs), minAccuracy)
-}
-
-// ProfileSource is Profile over a streaming record source: profiling state
-// is per static PC, so the dynamic trace is consumed record-at-a-time and
-// never materialized.
+// ProfileSource runs last-value and stride predictors over src and builds
+// hints. minAccuracy is the fraction (0..1) below which an instruction is
+// marked HintNone. Profiling state is per static PC, so the dynamic trace
+// is consumed record-at-a-time and never materialized.
 func ProfileSource(src trace.Source, minAccuracy float64) *ProfileHints {
 	type counts struct {
 		total, lastOK, strideOK uint64

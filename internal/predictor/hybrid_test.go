@@ -79,7 +79,7 @@ func mkHintTrace(n int) []trace.Rec {
 }
 
 func TestProfileHints(t *testing.T) {
-	h := Profile(mkHintTrace(200), 0.5)
+	h := ProfileSource(trace.NewSliceSource(mkHintTrace(200)), 0.5)
 	if k, ok := h.Kind(0x1000); !ok || k != HintLastValue {
 		t.Errorf("repeating PC hint = %v, %v", k, ok)
 	}
@@ -97,7 +97,7 @@ func TestProfileHints(t *testing.T) {
 
 func TestEvaluate(t *testing.T) {
 	recs := mkHintTrace(100)
-	lv := Evaluate(NewLastValue(), recs)
+	lv := EvaluateSource(NewLastValue(), trace.NewSliceSource(recs))
 	if lv.Eligible != 300 {
 		t.Fatalf("eligible = %d", lv.Eligible)
 	}
@@ -106,12 +106,12 @@ func TestEvaluate(t *testing.T) {
 	if lv.HitRate() < 0.30 || lv.HitRate() > 0.40 {
 		t.Errorf("last-value hit rate = %.2f", lv.HitRate())
 	}
-	st := Evaluate(NewStride(), recs)
+	st := EvaluateSource(NewStride(), trace.NewSliceSource(recs))
 	// Stride gets both the repeating and the striding PC.
 	if st.HitRate() < 0.60 {
 		t.Errorf("stride hit rate = %.2f", st.HitRate())
 	}
-	cs := Evaluate(NewClassifiedStride(), recs)
+	cs := EvaluateSource(NewClassifiedStride(), trace.NewSliceSource(recs))
 	if cs.ConfidentHitRate() < st.HitRate() {
 		t.Errorf("classifier did not filter: confident %.2f < raw %.2f",
 			cs.ConfidentHitRate(), st.HitRate())
@@ -132,7 +132,7 @@ func TestEvaluate(t *testing.T) {
 }
 
 func TestEvaluateEmptyTrace(t *testing.T) {
-	a := Evaluate(NewStride(), nil)
+	a := EvaluateSource(NewStride(), trace.NewSliceSource(nil))
 	if a.Eligible != 0 || a.HitRate() != 0 || a.Coverage() != 0 || a.ConfidentHitRate() != 0 {
 		t.Errorf("empty trace accuracy: %+v", a)
 	}

@@ -93,7 +93,7 @@ func TestDenseTablesServeEveryPC(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	s, ref := NewStride(), refStride{}
-	c, refCount := NewClassifier(2, 2), map[uint64]uint8{}
+	c, refCount := NewClassifier(), map[uint64]uint8{}
 	for step := 0; step < 20_000; step++ {
 		pc := pcs[rng.Intn(len(pcs))]
 		val := uint64(rng.Intn(4)) * 3

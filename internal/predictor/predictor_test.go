@@ -128,7 +128,7 @@ func TestStrideTableBadSizePanics(t *testing.T) {
 }
 
 func TestClassifier(t *testing.T) {
-	c := NewClassifier(2, 2)
+	c := NewClassifier()
 	if c.Confident(4) {
 		t.Error("cold counter confident")
 	}
@@ -157,19 +157,6 @@ func TestClassifier(t *testing.T) {
 	c.Record(4, true)
 	if !c.Confident(4) {
 		t.Error("counter did not recover")
-	}
-}
-
-func TestClassifierConfigPanics(t *testing.T) {
-	for _, cfg := range [][2]int{{0, 0}, {7, 1}, {2, 4}, {2, -1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("config %v did not panic", cfg)
-				}
-			}()
-			NewClassifier(cfg[0], cfg[1])
-		}()
 	}
 }
 

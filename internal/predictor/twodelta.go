@@ -64,7 +64,7 @@ func (p *TwoDeltaStride) LastAndStride(pc uint64) (uint64, int64, bool) {
 // NewClassifiedTwoDelta returns a two-delta stride predictor gated by
 // 2-bit confidence counters.
 func NewClassifiedTwoDelta() *Classified {
-	return &Classified{Inner: NewTwoDeltaStride(), Class: NewClassifier(2, 2)}
+	return &Classified{Inner: NewTwoDeltaStride(), Class: NewClassifier()}
 }
 
 // LoadsOnly restricts an inner predictor to load instructions, modelling
@@ -120,13 +120,8 @@ var (
 	_ StrideSource = (*LoadsOnly)(nil)
 )
 
-// NewLoadsOnlyFromTrace wraps inner with every load PC of recs registered.
-func NewLoadsOnlyFromTrace(inner Predictor, recs []trace.Rec) *LoadsOnly {
-	return NewLoadsOnlyFromSource(inner, trace.NewSliceSource(recs))
-}
-
-// NewLoadsOnlyFromSource is NewLoadsOnlyFromTrace over a streaming record
-// source; only the static load PCs are retained.
+// NewLoadsOnlyFromSource wraps inner with every load PC of src registered;
+// only the static load PCs are retained.
 func NewLoadsOnlyFromSource(inner Predictor, src trace.Source) *LoadsOnly {
 	p := NewLoadsOnly(inner)
 	for {

@@ -72,7 +72,7 @@ func TestLoadsOnly(t *testing.T) {
 		{Seq: 0, PC: 0x1000, Op: isa.LD, Rd: isa.T0, Val: 5},
 		{Seq: 1, PC: 0x1004, Op: isa.ADDI, Rd: isa.T1, Val: 6},
 	}
-	p := NewLoadsOnlyFromTrace(NewLastValue(), recs)
+	p := NewLoadsOnlyFromSource(NewLastValue(), trace.NewSliceSource(recs))
 	if p.Name() != "last-value/loads" {
 		t.Errorf("name = %q", p.Name())
 	}
@@ -95,8 +95,8 @@ func TestLoadsOnly(t *testing.T) {
 
 func TestLoadsOnlyCoversFewer(t *testing.T) {
 	recs := workload.MustTrace("vortex", 1, 80_000)
-	all := Evaluate(NewClassifiedStride(), recs)
-	loads := Evaluate(NewLoadsOnlyFromTrace(NewClassifiedStride(), recs), recs)
+	all := EvaluateSource(NewClassifiedStride(), trace.NewSliceSource(recs))
+	loads := EvaluateSource(NewLoadsOnlyFromSource(NewClassifiedStride(), trace.NewSliceSource(recs)), trace.NewSliceSource(recs))
 	if loads.Attempted >= all.Attempted {
 		t.Errorf("loads-only attempted %d >= all-inst %d", loads.Attempted, all.Attempted)
 	}
@@ -107,9 +107,9 @@ func TestLoadsOnlyCoversFewer(t *testing.T) {
 
 func TestEvaluateByClass(t *testing.T) {
 	recs := workload.MustTrace("li", 1, 40_000)
-	ca := EvaluateByClass(NewStride(), recs)
+	ca := EvaluateByClassSource(NewStride(), trace.NewSliceSource(recs))
 	total := ca.ALU.Eligible + ca.Load.Eligible + ca.Jump.Eligible
-	plain := Evaluate(NewStride(), recs)
+	plain := EvaluateSource(NewStride(), trace.NewSliceSource(recs))
 	if total != plain.Eligible {
 		t.Errorf("class eligibles %d != total %d", total, plain.Eligible)
 	}

@@ -214,16 +214,9 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, jobNotFound(r.PathValue("id")))
 		return
 	}
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "text"
-	}
-	if !formats[format] || format == "shard" {
-		writeError(w, &apiError{
-			status:  http.StatusBadRequest,
-			Code:    "bad_params",
-			Message: fmt.Sprintf("unknown format %q (have text, csv, md, chart, json)", format),
-		})
+	format, apiErr := tableFormat(r)
+	if apiErr != nil {
+		writeError(w, apiErr)
 		return
 	}
 	switch j.State() {
@@ -249,7 +242,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 			return // client went away mid-write
 		}
 	case *stats.Table:
-		renderTable(w, v, format)
+		renderTables(w, format, v, v)
 	default:
 		writeError(w, &apiError{
 			status:  http.StatusInternalServerError,
@@ -301,48 +294,14 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "text"
-	}
-	if !formats[format] || format == "shard" {
-		writeError(w, &apiError{
-			status:  http.StatusBadRequest,
-			Code:    "bad_params",
-			Message: fmt.Sprintf("unknown format %q (have text, csv, md, chart, json)", format),
-		})
+	format, apiErr := tableFormat(r)
+	if apiErr != nil {
+		writeError(w, apiErr)
 		return
 	}
-	if format == "json" {
-		writeJSON(w, http.StatusOK, merged)
-		return
-	}
-	contentType := "text/plain; charset=utf-8"
-	switch format {
-	case "csv":
-		contentType = "text/csv; charset=utf-8"
-	case "md":
-		contentType = "text/markdown; charset=utf-8"
-	}
-	w.Header().Set("Content-Type", contentType)
-	w.WriteHeader(http.StatusOK)
+	tabs := make([]*stats.Table, len(merged))
 	for i, m := range merged {
-		if i > 0 {
-			fmt.Fprintln(w)
-		}
-		var renderErr error
-		switch format {
-		case "csv":
-			renderErr = m.Table.RenderCSV(w)
-		case "md":
-			renderErr = m.Table.RenderMarkdown(w)
-		case "chart":
-			renderErr = m.Table.RenderChart(w)
-		default:
-			renderErr = m.Table.Render(w)
-		}
-		if renderErr != nil {
-			return // client went away mid-write
-		}
+		tabs[i] = m.Table
 	}
+	renderTables(w, format, merged, tabs...)
 }

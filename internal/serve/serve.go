@@ -512,7 +512,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("X-Cache", source)
-	renderTable(w, tab, rr.Format)
+	renderTables(w, rr.Format, tab, tab)
 }
 
 // classify maps a simulation error onto the API error space.
@@ -1010,30 +1010,59 @@ func parseRunRequest(r *http.Request, cfg Config) (runRequest, *apiError) {
 
 // --- rendering ---
 
-// renderTable writes tab in the requested format. The text, csv, md and
-// chart formats are byte-identical to vpsim's -o output for the same
-// parameters; json marshals the stats.Table struct.
-func renderTable(w http.ResponseWriter, tab *stats.Table, format string) {
-	var err error
-	switch format {
-	case "json":
-		writeJSON(w, http.StatusOK, tab)
-		return
-	case "csv":
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		err = tab.RenderCSV(w)
-	case "md":
-		w.Header().Set("Content-Type", "text/markdown; charset=utf-8")
-		err = tab.RenderMarkdown(w)
-	case "chart":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		err = tab.RenderChart(w)
-	default:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		err = tab.Render(w)
+// tableFormat reads the format parameter of an endpoint that renders
+// tables only: text by default, else csv, md, chart or json.
+func tableFormat(r *http.Request) (string, *apiError) {
+	format := r.URL.Query().Get("format")
+	if format == "" {
+		format = "text"
 	}
-	if err != nil {
-		return // headers are out; a render error here means the client left
+	if !formats[format] || format == "shard" {
+		return "", &apiError{
+			status:  http.StatusBadRequest,
+			Code:    "bad_params",
+			Message: fmt.Sprintf("unknown format %q (have text, csv, md, chart, json)", format),
+		}
+	}
+	return format, nil
+}
+
+// renderTables writes tabs in format, separated by a blank line. The text,
+// csv, md and chart formats are byte-identical to vpsim's output for the
+// same parameters; json marshals v instead, so each endpoint keeps its
+// JSON shape.
+func renderTables(w http.ResponseWriter, format string, v any, tabs ...*stats.Table) {
+	if format == "json" {
+		writeJSON(w, http.StatusOK, v)
+		return
+	}
+	contentType := "text/plain; charset=utf-8"
+	switch format {
+	case "csv":
+		contentType = "text/csv; charset=utf-8"
+	case "md":
+		contentType = "text/markdown; charset=utf-8"
+	}
+	w.Header().Set("Content-Type", contentType)
+	w.WriteHeader(http.StatusOK)
+	for i, tab := range tabs {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		var err error
+		switch format {
+		case "csv":
+			err = tab.RenderCSV(w)
+		case "md":
+			err = tab.RenderMarkdown(w)
+		case "chart":
+			err = tab.RenderChart(w)
+		default:
+			err = tab.Render(w)
+		}
+		if err != nil {
+			return // headers are out; a render error here means the client left
+		}
 	}
 }
 

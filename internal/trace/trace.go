@@ -141,19 +141,9 @@ type Summary struct {
 	TakenControls uint64
 }
 
-// Summarize scans recs and returns aggregate statistics.
-func Summarize(recs []Rec) Summary {
-	z := NewSummarizer()
-	for _, r := range recs {
-		z.Add(r)
-	}
-	return z.Summary()
-}
-
-// SummarizeSource drains src and returns aggregate statistics. Unlike
-// Summarize it never materializes the trace: memory stays proportional to
-// the number of distinct static PCs, so cmd/vptrace can inspect
-// 100M-record traces.
+// SummarizeSource drains src and returns aggregate statistics. It never
+// materializes the trace: memory stays proportional to the number of
+// distinct static PCs, so cmd/vptrace can inspect 100M-record traces.
 func SummarizeSource(src Source) Summary {
 	z := NewSummarizer()
 	for {
@@ -219,12 +209,5 @@ func (s Summary) String() string {
 	return fmt.Sprintf(
 		"insts=%d writers=%d loads=%d stores=%d condbr=%d (taken %.1f%%) jumps=%d staticPCs=%d",
 		s.Insts, s.ValueWriters, s.Loads, s.Stores, s.CondBranches,
-		100*float64(s.TakenCond)/float64(max64(s.CondBranches, 1)), s.Jumps, s.StaticPCs)
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+		100*float64(s.TakenCond)/float64(max(s.CondBranches, 1)), s.Jumps, s.StaticPCs)
 }

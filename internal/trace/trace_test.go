@@ -37,7 +37,7 @@ func TestWritesValue(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	s := Summarize(sampleRecs())
+	s := SummarizeSource(NewSliceSource(sampleRecs()))
 	if s.Insts != 6 || s.Loads != 1 || s.Stores != 1 ||
 		s.CondBranches != 1 || s.TakenCond != 1 || s.Jumps != 1 {
 		t.Errorf("summary wrong: %+v", s)

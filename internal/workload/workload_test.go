@@ -153,7 +153,7 @@ func TestTraceShape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		s := trace.Summarize(recs)
+		s := trace.SummarizeSource(trace.NewSliceSource(recs))
 		if s.ValueWriters < s.Insts/4 {
 			t.Errorf("%s: only %d/%d instructions produce values", name, s.ValueWriters, s.Insts)
 		}

@@ -110,7 +110,7 @@ func TraceStoreMetrics() TraceStoreStats { return tracestore.Shared().Stats() }
 func ResetTraceStore() { tracestore.Shared().Reset() }
 
 // Summarize aggregates trace statistics.
-func Summarize(recs []Rec) TraceSummary { return trace.Summarize(recs) }
+func Summarize(recs []Rec) TraceSummary { return trace.SummarizeSource(trace.NewSliceSource(recs)) }
 
 // --- value predictors ---
 
@@ -157,7 +157,7 @@ func NewTwoDeltaStridePredictor() Predictor { return predictor.NewTwoDeltaStride
 // NewLoadsOnlyPredictor restricts inner to the load instructions appearing
 // in recs, modelling load-value prediction per the paper's reference [13].
 func NewLoadsOnlyPredictor(inner Predictor, recs []Rec) Predictor {
-	return predictor.NewLoadsOnlyFromTrace(inner, recs)
+	return predictor.NewLoadsOnlyFromSource(inner, trace.NewSliceSource(recs))
 }
 
 // ProfileHints hold per-instruction opcode hints derived from a profiling
@@ -167,7 +167,7 @@ type ProfileHints = predictor.ProfileHints
 // Profile derives opcode hints from a trace prefix; instructions whose best
 // method stays below minAccuracy are marked no-predict.
 func Profile(recs []Rec, minAccuracy float64) *ProfileHints {
-	return predictor.Profile(recs, minAccuracy)
+	return predictor.ProfileSource(trace.NewSliceSource(recs), minAccuracy)
 }
 
 // PredictorAccuracy evaluates p over the value-producing instructions of a
@@ -176,7 +176,7 @@ type PredictorAccuracy = predictor.Accuracy
 
 // EvaluatePredictor measures a predictor's accuracy over a trace.
 func EvaluatePredictor(p Predictor, recs []Rec) PredictorAccuracy {
-	return predictor.Evaluate(p, recs)
+	return predictor.EvaluateSource(p, trace.NewSliceSource(recs))
 }
 
 // --- dataflow (DID) analysis ---
@@ -187,7 +187,7 @@ type DIDAnalysis = dfg.Analysis
 // AnalyzeDID scans a trace and computes DID statistics over its register
 // dataflow graph (set includeMemoryDeps to add store→load arcs).
 func AnalyzeDID(recs []Rec, includeMemoryDeps bool) *DIDAnalysis {
-	return dfg.Analyze(recs, dfg.Config{IncludeMemoryDeps: includeMemoryDeps})
+	return dfg.AnalyzeSource(trace.NewSliceSource(recs), dfg.Config{IncludeMemoryDeps: includeMemoryDeps})
 }
 
 // --- machine models ---
@@ -243,7 +243,7 @@ func NewTwoLevelBTB() BranchPredictor { return btb.NewTwoLevel(btb.DefaultTwoLev
 // NewGShareBTB returns a gshare direction predictor with a 2K-entry target
 // buffer — a post-paper alternative used by ablation.btb to show the
 // headroom better branch prediction buys value prediction.
-func NewGShareBTB() BranchPredictor { return btb.NewGShare(btb.DefaultGShareConfig()) }
+func NewGShareBTB() BranchPredictor { return btb.NewGShare() }
 
 // FetchEngine delivers one fetch group per cycle to the realistic machine.
 type FetchEngine = fetch.Engine
@@ -257,11 +257,12 @@ func NewSequentialFetch(recs []Rec, bp BranchPredictor, maxTaken int) FetchEngin
 	return fetch.NewSequential(recs, bp, maxTaken)
 }
 
-// TraceCacheConfig parameterises the trace cache.
+// TraceCacheConfig parameterises the trace cache, whose organisation is
+// the paper's: 64 entries of up to 32 instructions or 6 blocks.
 type TraceCacheConfig = fetch.TCConfig
 
-// NewTraceCacheConfig returns the paper's 64-entry, 32-instruction,
-// 6-block organisation.
+// NewTraceCacheConfig returns the paper's trace cache without partial
+// matching.
 func NewTraceCacheConfig() TraceCacheConfig { return fetch.DefaultTCConfig() }
 
 // NewTraceCacheFetch returns the trace-cache fetch engine.
@@ -269,18 +270,11 @@ func NewTraceCacheFetch(recs []Rec, bp BranchPredictor, cfg TraceCacheConfig) Fe
 	return fetch.NewTraceCache(recs, bp, cfg)
 }
 
-// CollapsingBufferConfig parameterises the collapsing-buffer fetch engine
-// (Conte et al., surveyed in the paper's Section 2.2).
-type CollapsingBufferConfig = fetch.CBConfig
-
-// NewCollapsingBufferConfig returns the classic two-line, 16-instruction
-// organisation.
-func NewCollapsingBufferConfig() CollapsingBufferConfig { return fetch.DefaultCBConfig() }
-
-// NewCollapsingBufferFetch returns the collapsing-buffer fetch engine: two
-// possibly noncontiguous cache lines per cycle.
-func NewCollapsingBufferFetch(recs []Rec, bp BranchPredictor, cfg CollapsingBufferConfig) FetchEngine {
-	return fetch.NewCollapsingBuffer(recs, bp, cfg)
+// NewCollapsingBufferFetch returns the collapsing-buffer fetch engine of
+// Conte et al. (surveyed in the paper's Section 2.2): two possibly
+// noncontiguous 16-instruction cache lines per cycle.
+func NewCollapsingBufferFetch(recs []Rec, bp BranchPredictor) FetchEngine {
+	return fetch.NewCollapsingBufferSource(trace.NewSliceSource(recs), bp)
 }
 
 // --- the banked prediction network (Section 4) ---
@@ -372,14 +366,6 @@ func InstrumentTraceStore(reg *MetricsRegistry) { tracestore.Shared().Instrument
 // events with the workload, seed and wall milliseconds. A nil log
 // detaches.
 func InstrumentTraceStoreEvents(l *EventLog) { tracestore.Shared().InstrumentEvents(l) }
-
-// InstrumentPredictor wraps p so its lookups and updates are counted in reg
-// under the "predictor." prefix. The wrapper passes predictions through
-// untouched and preserves the stride-source capability used by the banked
-// network's distributor.
-func InstrumentPredictor(p Predictor, reg *MetricsRegistry) Predictor {
-	return predictor.Instrument(p, reg)
-}
 
 // --- the execution engine ---
 
