@@ -3,7 +3,10 @@ package ideal
 import (
 	"testing"
 
+	"valuepred/internal/btb"
+	"valuepred/internal/fetch"
 	"valuepred/internal/isa"
+	"valuepred/internal/pipeline"
 	"valuepred/internal/predictor"
 	"valuepred/internal/trace"
 	"valuepred/internal/workload"
@@ -268,6 +271,40 @@ func TestOutcomesMismatch(t *testing.T) {
 	cfg.Outcomes, cfg.Predictor = record(len(recs)), predictor.NewStride()
 	if _, err := Run(trace.NewSliceSource(recs), cfg); err == nil {
 		t.Error("both Predictor and Outcomes accepted")
+	}
+}
+
+// TestConvergesToIdealModel is the cross-model check: with a perfect BTB
+// and no taken-branch limit, the Section 5 machine at width w is the
+// Section 3 machine at fetch width w (same window, same dependence rules;
+// its 40 FUs never bind because the window holds only 40 instructions).
+// Both must agree exactly on every workload, at fig3.1's widths, without
+// and with value prediction.
+func TestConvergesToIdealModel(t *testing.T) {
+	for _, name := range workload.Names() {
+		recs := workload.MustTrace(name, 1, 40_000)
+		for _, w := range []int{4, 8, 16, 32, 40} {
+			for _, vp := range []bool{false, true} {
+				icfg, pcfg := DefaultConfig(w), pipeline.DefaultConfig()
+				pcfg.Width = w
+				if vp {
+					icfg.Predictor, pcfg.Predictor = predictor.NewClassifiedStride(), predictor.NewClassifiedStride()
+				}
+				ires, err := Run(trace.NewSliceSource(recs), icfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pres, err := pipeline.Run(fetch.NewSequential(recs, btb.NewPerfect(), -1), pcfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := Result{Insts: pres.Insts, Cycles: pres.Cycles,
+					Attempted: pres.Attempted, Correct: pres.Correct, Used: pres.Used}
+				if got != ires {
+					t.Errorf("%s width=%d vp=%v: pipeline %+v, ideal %+v", name, w, vp, got, ires)
+				}
+			}
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"valuepred/internal/btb"
 	"valuepred/internal/core"
 	"valuepred/internal/fetch"
-	"valuepred/internal/ideal"
 	"valuepred/internal/isa"
 	"valuepred/internal/predictor"
 	"valuepred/internal/trace"
@@ -329,48 +328,6 @@ func TestStallAccounting(t *testing.T) {
 	}
 	if clean.BranchStallCycles != 0 {
 		t.Errorf("perfect BTB run has %d branch-stall cycles", clean.BranchStallCycles)
-	}
-}
-
-// TestConvergesToIdealModel is a cross-model validation: with a perfect
-// BTB, unlimited taken branches and the same predictor, the Section 5
-// machine reduces to the Section 3 ideal machine at width 40 (same window,
-// same dependence rules; 40 FUs never bind because the window holds only
-// 40 instructions). IPCs must agree tightly.
-func TestConvergesToIdealModel(t *testing.T) {
-	for _, name := range []string{"compress95", "m88ksim", "li"} {
-		recs := workload.MustTrace(name, 1, 40_000)
-		pres, err := Run(fetch.NewSequential(recs, btb.NewPerfect(), -1), DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ires, err := ideal.Run(trace.NewSliceSource(recs), ideal.DefaultConfig(40))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ratio := pres.IPC() / ires.IPC()
-		if ratio < 0.97 || ratio > 1.03 {
-			t.Errorf("%s: pipeline IPC %.3f vs ideal IPC %.3f (ratio %.3f)",
-				name, pres.IPC(), ires.IPC(), ratio)
-		}
-		// And with value prediction.
-		cfgP := DefaultConfig()
-		cfgP.Predictor = predictor.NewClassifiedStride()
-		pvp, err := Run(fetch.NewSequential(recs, btb.NewPerfect(), -1), cfgP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfgI := ideal.DefaultConfig(40)
-		cfgI.Predictor = predictor.NewClassifiedStride()
-		ivp, err := ideal.Run(trace.NewSliceSource(recs), cfgI)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ratio = pvp.IPC() / ivp.IPC()
-		if ratio < 0.97 || ratio > 1.03 {
-			t.Errorf("%s (VP): pipeline IPC %.3f vs ideal IPC %.3f (ratio %.3f)",
-				name, pvp.IPC(), ivp.IPC(), ratio)
-		}
 	}
 }
 
