@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -55,8 +56,8 @@ func start(t *testing.T, args ...string) (string, chan os.Signal, <-chan error) 
 }
 
 // TestServeAndSigtermDrain boots the real server, serves a health check
-// and one tiny experiment, then delivers SIGTERM mid-flight and checks the
-// in-flight request completes before run returns.
+// and one tiny experiment, then delivers SIGTERM once the server has
+// admitted it and checks the request completes before run returns.
 func TestServeAndSigtermDrain(t *testing.T) {
 	base, signals, done := start(t)
 
@@ -69,8 +70,9 @@ func TestServeAndSigtermDrain(t *testing.T) {
 		t.Fatalf("healthz = %d", resp.StatusCode)
 	}
 
-	// Fire an experiment request and deliver SIGTERM while it may still be
-	// in flight; graceful drain must let it complete with a full body.
+	// Fire an experiment request and deliver SIGTERM once the server has
+	// admitted its simulation; graceful drain must let it complete with a
+	// full body. A signal that beat the request would have it refused.
 	type result struct {
 		status int
 		body   string
@@ -87,7 +89,7 @@ func TestServeAndSigtermDrain(t *testing.T) {
 		body, err := io.ReadAll(resp.Body)
 		reqDone <- result{status: resp.StatusCode, body: string(body), err: err}
 	}()
-	time.Sleep(5 * time.Millisecond)
+	waitForSimulation(t, base)
 	signals <- syscall.SIGTERM
 
 	res := <-reqDone
@@ -104,6 +106,39 @@ func TestServeAndSigtermDrain(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("run did not return after SIGTERM")
+	}
+}
+
+// waitForSimulation polls the server's metrics until its serve.simulations
+// counter shows an admitted simulation, failing the test after 10 s.
+func waitForSimulation(t *testing.T, base string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(base + "/v1/metrics?format=json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap struct {
+			Counters []struct {
+				Name  string `json:"name"`
+				Value uint64 `json:"value"`
+			} `json:"counters"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&snap)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("metrics json: %v", err)
+		}
+		for _, c := range snap.Counters {
+			if c.Name == "serve.simulations" && c.Value >= 1 {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no simulation admitted within 10 s")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
