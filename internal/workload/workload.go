@@ -15,7 +15,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"valuepred/internal/emu"
 	"valuepred/internal/isa"
@@ -62,14 +61,6 @@ func All() []Spec {
 func Get(name string) (Spec, bool) {
 	s, ok := registry[name]
 	return s, ok
-}
-
-// sanity check at init that the registry and Names agree.
-func init() {
-	names := Names()
-	sort.Strings(names)
-	// registration happens in each benchmark file's init; checked in tests.
-	_ = names
 }
 
 // Run builds the named benchmark with the given seed, executes up to limit

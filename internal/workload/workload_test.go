@@ -122,19 +122,27 @@ func TestPassesDiverge(t *testing.T) {
 	}
 }
 
-// TestRegistry checks registry consistency.
+// TestRegistry checks registry consistency: Names and the registry list
+// the same benchmarks, each with a complete spec.
 func TestRegistry(t *testing.T) {
 	names := Names()
 	if len(names) != 8 {
 		t.Fatalf("want 8 benchmarks, have %d", len(names))
 	}
+	listed := make(map[string]bool, len(names))
 	for _, n := range names {
+		listed[n] = true
 		s, ok := Get(n)
 		if !ok {
 			t.Fatalf("benchmark %q not registered", n)
 		}
 		if s.Name != n || s.Build == nil || s.Golden == nil || s.Description == "" {
 			t.Errorf("benchmark %q has an incomplete spec", n)
+		}
+	}
+	for n := range registry {
+		if !listed[n] {
+			t.Errorf("registered benchmark %q missing from Names()", n)
 		}
 	}
 	if _, ok := Get("nonesuch"); ok {
