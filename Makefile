@@ -1,13 +1,13 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check fmt build vet lint lint-json test race bench bench-gate bench-smoke bench-tracestore serve-smoke clean
+.PHONY: check fmt build vet lint lint-json test race vpbench-test bench bench-gate bench-smoke bench-tracestore serve-smoke clean
 
 # check is the CI gate: formatting, static analysis (go vet + the custom
-# vplint suite), a full build, and the test suite under the race detector
+# vplint suite), a full build, the test suite under the race detector
 # (the tracestore tests exercise concurrent generation, eviction and
-# singleflight dedup).
-check: fmt vet lint build race
+# singleflight dedup) and the benchmark module's vet and tests.
+check: fmt vet lint build race vpbench-test
 
 # fmt fails if gofmt would rewrite any Go file outside testdata (the lint
 # fixtures there keep their layouts on purpose).
@@ -39,6 +39,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# vpbench-test vets and tests the benchmark module (vpbench/, its own
+# go.mod, so ./... above does not reach it). It compiles against the
+# internal machine, fetch and trace-store APIs and checks every table
+# against its recorded digests, so an internal change that breaks the
+# benchmark fails the gate.
+vpbench-test:
+	cd vpbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs every benchmark and writes the parsed report — ns/op, the
 # simulated-instructions-per-second metric each benchmark reports, and the
