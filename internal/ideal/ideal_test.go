@@ -236,7 +236,7 @@ func TestInvalidConfig(t *testing.T) {
 	if _, err := Run(trace.NewSliceSource(nil), Config{}); err == nil {
 		t.Error("zero config accepted")
 	}
-	if _, err := Run(trace.NewSliceSource(nil), Config{FetchWidth: 4}); err == nil {
+	if _, err := Run(trace.NewSliceSource(nil), Config{Width: 4}); err == nil {
 		t.Error("zero window accepted")
 	}
 }
@@ -275,11 +275,10 @@ func TestOutcomesMismatch(t *testing.T) {
 }
 
 // TestConvergesToIdealModel is the cross-model check: with a perfect BTB
-// and no taken-branch limit, the Section 5 machine at width w is the
-// Section 3 machine at fetch width w (same window, same dependence rules;
-// its 40 FUs never bind because the window holds only 40 instructions).
-// Both must agree exactly on every workload, at fig3.1's widths, without
-// and with value prediction.
+// and no taken-branch limit, the Section 5 machine's fetch engine at width
+// w delivers what perfect fetch at fetch width w does, so pipeline.Run
+// must agree exactly with Run on every workload, at fig3.1's widths,
+// without and with value prediction.
 func TestConvergesToIdealModel(t *testing.T) {
 	for _, name := range workload.Names() {
 		recs := workload.MustTrace(name, 1, 40_000)

@@ -61,7 +61,7 @@ var invariants = []struct {
 		},
 	},
 	{
-		// Fetching Insts at FetchWidth per cycle takes ceil(Insts/width)
+		// Fetching Insts at Width per cycle takes ceil(Insts/width)
 		// cycles, and the last instruction executes two cycles after
 		// its fetch.
 		name: "cycles >= ceil(insts/width) + 2",

@@ -88,7 +88,7 @@ func (w *windowEntry) resolve() {
 // cycle at a time, re-polling every window entry each cycle. Its Observer
 // calls arrive in execute order rather than fetch order.
 func oracleRun(src trace.Source, cfg Config) (Result, error) {
-	if cfg.FetchWidth <= 0 || cfg.WindowSize <= 0 {
+	if cfg.Width <= 0 || cfg.WindowSize <= 0 {
 		return Result{}, fmt.Errorf("ideal: invalid config %+v", cfg)
 	}
 	var res Result
@@ -135,10 +135,10 @@ func oracleRun(src trace.Source, cfg Config) (Result, error) {
 		}
 		window = window[:n]
 
-		// Fetch phase: up to FetchWidth instructions while the window has
+		// Fetch phase: up to Width instructions while the window has
 		// room; they may execute two cycles later.
 		fetched := 0
-		for f := 0; f < cfg.FetchWidth && len(window) < cfg.WindowSize && !eof; f++ {
+		for f := 0; f < cfg.Width && len(window) < cfg.WindowSize && !eof; f++ {
 			rec, ok := src.Next()
 			if !ok {
 				eof = true
@@ -296,7 +296,7 @@ func compare(t testing.TB, label string, recs []trace.Rec, cfg Config, newPred f
 		}
 		return cfg
 	}
-	label = fmt.Sprintf("%s width=%d window=%d oracleVP=%v", label, cfg.FetchWidth, cfg.WindowSize, cfg.OracleVP)
+	label = fmt.Sprintf("%s width=%d window=%d oracleVP=%v", label, cfg.Width, cfg.WindowSize, cfg.OracleVP)
 	want := observe(t, oracleRun, recs, with(cfg), true)
 	if d := want.diff(observe(t, Run, recs, with(cfg), true)); d != "" {
 		t.Errorf("%s: %s", label, d)
@@ -371,7 +371,8 @@ func FuzzRunMatchesOracle(f *testing.F) {
 				Val: uint64(b >> 6), Addr: uint64(a>>6) * 8,
 			})
 		}
-		cfg := Config{FetchWidth: 1 + int(width%40), WindowSize: 1 + int(window%48)}
+		cfg := DefaultConfig(1 + int(width%40))
+		cfg.WindowSize = 1 + int(window%48)
 		var newPred func() predictor.Predictor
 		switch (mode >> 1) % 4 {
 		case 1:

@@ -22,7 +22,7 @@ func TestApplies(t *testing.T) {
 		"valuepred/internal/obs":        true, // restricted, with the wall-clock exemption
 		"valuepred/internal/tracestore": true,
 		"valuepred/internal/plan":       true, // the execution engine merges into ordered output
-		"valuepred/internal/ideal":      true, // pooled scratch (scratch.go) lives here
+		"valuepred/internal/ideal":      true, // the Section 3 machine's results
 		"valuepred/internal/pipeline":   true, // pooled scratch (scratch.go) lives here
 		"valuepred/internal/fetch":      true, // zero-copy group views
 		"valuepred/internal/core":       true, // reused network group buffers

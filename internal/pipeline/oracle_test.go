@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -17,12 +18,14 @@ import (
 
 // This file keeps the cycle-stepped engine that Run replaced, as the
 // differential oracle for the one-pass recurrence: TestRunMatchesOracle
-// and FuzzRunMatchesOracle require both engines to agree on Result and on
-// the Obs output. The scheduling code is the old engine's, unchanged
-// apart from its names and one fix in addDep; only the pooled arenas and
-// free list it drew its entries from are replaced by plain allocation,
-// which changes no timing and makes the entry.left recycling gate
-// unnecessary.
+// and FuzzRunMatchesOracle require both engines to agree on Result, on
+// every record's (seq, fetch, exec) triple and on the Obs output. The
+// scheduling code is the old engine's, unchanged apart from its names, one
+// fix in addDep, the Observer call and the functional-unit cap it no
+// longer applies (the machine has no such limit: DESIGN.md §7); only the
+// pooled arenas and free list it drew its entries from are replaced by
+// plain allocation, which changes no timing and makes the entry.left
+// recycling gate unnecessary.
 
 type producerInfo struct {
 	execCycle  uint64
@@ -98,8 +101,9 @@ func (w *entry) resolve(valuePenalty uint64) {
 
 // oracleRun simulates the trace delivered by eng under cfg by stepping the
 // machine one cycle at a time, re-polling every window entry each cycle.
+// Its Observer calls arrive in execute order rather than fetch order.
 func oracleRun(eng fetch.Engine, cfg Config) (Result, error) {
-	if cfg.Width <= 0 || cfg.WindowSize <= 0 || cfg.NumFUs <= 0 ||
+	if cfg.Width <= 0 || cfg.WindowSize <= 0 ||
 		cfg.BranchPenalty < 0 || cfg.ValuePenalty < 0 {
 		return Result{}, fmt.Errorf("pipeline: invalid config %+v", cfg)
 	}
@@ -137,21 +141,24 @@ func oracleRun(eng fetch.Engine, cfg Config) (Result, error) {
 			window = window[committed:]
 		}
 
-		// Execute: oldest-first, bounded by NumFUs. With scheduling-window
+		// Execute: every ready entry, oldest-first. With scheduling-window
 		// semantics an instruction leaves its slot when it executes.
-		fus := 0
+		executed := 0
 		n := 0
 		for _, w := range window {
 			if !w.executed {
 				w.resolve(valuePenalty)
-				if fus < cfg.NumFUs && w.ready(cycle) {
+				if w.ready(cycle) {
 					w.executed = true
 					w.execCycle = cycle
 					w.prod.execCycle = cycle
 					w.prod.resultAt = cycle + cfg.latencyOf(w.rec.Op)
 					w.prod.done = true
 					res.Insts++
-					fus++
+					executed++
+					if cfg.Observer != nil {
+						cfg.Observer(w.rec.Seq, w.earliest-2, cycle) // fetched two cycles before earliest
+					}
 					for _, p := range w.specOn {
 						// Useful iff the producer's value was not yet
 						// forwardable when this consumer executed.
@@ -222,9 +229,9 @@ func oracleRun(eng fetch.Engine, cfg Config) (Result, error) {
 			// (and architecturally commits) at execute, so the commit-stage
 			// count mirrors the execute count.
 			if !cfg.HoldUntilCommit {
-				committed = fus
+				committed = executed
 			}
-			o.Cycle(cycle, fetched, fus, committed, len(window))
+			o.Cycle(cycle, fetched, executed, committed, len(window))
 		}
 
 		if eof && len(window) == 0 {
@@ -339,10 +346,16 @@ func oracleIngest(recs []trace.Rec, cycle uint64, cfg Config, res *Result,
 	return window
 }
 
-// outcome is what a comparison inspects of one run: its Result and, with
-// Obs set, the registry's text snapshot and the tracer's JSON at sample 1.
+// timing is one Observer call.
+type timing struct{ seq, fetch, exec uint64 }
+
+// outcome is what a comparison inspects of one run: its Result, every
+// record's cycles (sorted by seq, since the engines report in different
+// orders) and, with Obs set, the registry's text snapshot and the tracer's
+// JSON at sample 1.
 type outcome struct {
 	res            Result
+	timings        []timing
 	metrics, trace string
 }
 
@@ -385,6 +398,10 @@ func observe(t testing.TB, run engineFunc, newEng func() fetch.Engine, cfg Confi
 	if mode == networkVP {
 		cfg.Network = core.MustNew(core.DefaultConfig())
 	}
+	var out outcome
+	cfg.Observer = func(seq, fetch, exec uint64) {
+		out.timings = append(out.timings, timing{seq, fetch, exec})
+	}
 	reg, tr := obs.NewRegistry(), obs.NewTracer(1)
 	if withObs {
 		cfg.Obs = obs.New(reg, tr).Track("run")
@@ -393,7 +410,8 @@ func observe(t testing.TB, run engineFunc, newEng func() fetch.Engine, cfg Confi
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := outcome{res: res}
+	out.res = res
+	sort.Slice(out.timings, func(i, j int) bool { return out.timings[i].seq < out.timings[j].seq })
 	if withObs {
 		var m, j strings.Builder
 		if err := reg.Snapshot().WriteText(&m); err != nil {
@@ -412,6 +430,14 @@ func (want outcome) diff(got outcome) string {
 	if got.res != want.res {
 		return fmt.Sprintf("Result %+v, oracle %+v", got.res, want.res)
 	}
+	if len(got.timings) != len(want.timings) {
+		return fmt.Sprintf("%d Observer calls, oracle %d", len(got.timings), len(want.timings))
+	}
+	for i := range want.timings {
+		if got.timings[i] != want.timings[i] {
+			return fmt.Sprintf("(seq, fetch, exec) %v, oracle %v", got.timings[i], want.timings[i])
+		}
+	}
 	if got.metrics != want.metrics {
 		return fmt.Sprintf("registry snapshot:\n%s\noracle:\n%s", got.metrics, want.metrics)
 	}
@@ -423,14 +449,14 @@ func (want outcome) diff(got outcome) string {
 
 // compare runs Run and the oracle under cfg and mode, each on a fresh
 // fetch engine from newEng over recs, and reports any difference: Run
-// must match the oracle with Obs set, and its Result with Obs nil, which
-// takes the uninstrumented path. With a direct predictor, Run must also
+// must match the oracle with Obs set, and its Result and timings with Obs
+// nil, which takes the uninstrumented path. With a direct predictor, Run must also
 // match the oracle when it replays the outcome stream a fresh predictor
 // records over recs. label names the trace and engine in failures.
 func compare(t testing.TB, label string, recs []trace.Rec, newEng func() fetch.Engine, cfg Config, mode vpMode) {
 	t.Helper()
-	label = fmt.Sprintf("%s/%s width=%d window=%d fus=%d bpen=%d vpen=%d lat=%d rob=%v mem=%v",
-		label, mode, cfg.Width, cfg.WindowSize, cfg.NumFUs, cfg.BranchPenalty, cfg.ValuePenalty,
+	label = fmt.Sprintf("%s/%s width=%d window=%d bpen=%d vpen=%d lat=%d rob=%v mem=%v",
+		label, mode, cfg.Width, cfg.WindowSize, cfg.BranchPenalty, cfg.ValuePenalty,
 		cfg.LoadLatency, cfg.HoldUntilCommit, cfg.IncludeMemoryDeps)
 	want := observe(t, oracleRun, newEng, cfg, mode, true)
 	if d := want.diff(observe(t, Run, newEng, cfg, mode, true)); d != "" {
@@ -450,16 +476,15 @@ func compare(t testing.TB, label string, recs []trace.Rec, newEng func() fetch.E
 }
 
 // oracleConfigs are the machine variations TestRunMatchesOracle sweeps:
-// the paper's machine, ROB commit, scarce functional units, multi-cycle
+// the paper's machine, ROB commit, a narrow machine, multi-cycle
 // latencies, a value-misprediction penalty, no and a long branch
 // redirect, and small and large windows.
 func oracleConfigs() []Config {
 	vary := []func(*Config){
 		func(*Config) {},
 		func(c *Config) { c.HoldUntilCommit = true },
-		func(c *Config) { c.NumFUs = 1 },
-		func(c *Config) { c.NumFUs, c.Width = 3, 8 },
-		func(c *Config) { c.NumFUs, c.HoldUntilCommit, c.LoadLatency = 16, true, 2 },
+		func(c *Config) { c.Width = 8 },
+		func(c *Config) { c.HoldUntilCommit, c.LoadLatency = true, 2 },
 		func(c *Config) { c.LoadLatency, c.WindowSize = 5, 80 },
 		func(c *Config) { c.ValuePenalty, c.LoadLatency = 2, 3 },
 		func(c *Config) { c.BranchPenalty, c.IncludeMemoryDeps = 0, false },
@@ -498,7 +523,7 @@ func oracleEngines(recs []trace.Rec) []namedEngine {
 
 // TestRunMatchesOracle requires the one-pass engine to reproduce the
 // cycle-stepped oracle on every workload, under five fetch engines, four
-// ways of predicting values and eleven machine configurations.
+// ways of predicting values and ten machine configurations.
 func TestRunMatchesOracle(t *testing.T) {
 	n := 1_000
 	if testing.Short() {
@@ -524,14 +549,14 @@ func TestRunMatchesOracle(t *testing.T) {
 // and stores on four addresses, ALU operations, multiplies, divides and
 // branches on four registers (x0 among them), values from a small set so
 // that the stride predictor is sometimes right, random branch outcomes,
-// and a random machine: width, window, functional units, both penalties,
-// the load latency, ROB commit, memory dependences, the way values are
-// predicted and the fetch engine. The high bits of latencies choose
+// and a random machine: width, window, both penalties, the load latency,
+// ROB commit, memory dependences, the way values are predicted and the
+// fetch engine. The fus argument and the high bits of latencies choose
 // nothing; they stay so that the committed corpus still decodes.
 func FuzzRunMatchesOracle(f *testing.F) {
 	f.Add([]byte("a chain of loads, stores, multiplies and branches"), uint8(4), uint8(8), uint8(2), uint8(0x13), uint8(0x24), uint8(0x05))
 	f.Add([]byte{0x10, 0x21, 0x32, 0x43, 0x54, 0x65, 0x76, 0x87, 0x98, 0xa9, 0xba, 0xcb}, uint8(1), uint8(1), uint8(0), uint8(0x07), uint8(0x3f), uint8(0x1a))
-	f.Fuzz(func(t *testing.T, data []byte, width, window, fus, penalties, latencies, mode uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, width, window, _, penalties, latencies, mode uint8) {
 		ops := []isa.Opcode{isa.LD, isa.SD, isa.ADD, isa.ADDI, isa.LI, isa.BEQ, isa.NOP, isa.MUL, isa.DIV}
 		regs := []isa.Reg{isa.Zero, isa.T0, isa.T1, isa.T2}
 		var recs []trace.Rec
@@ -547,7 +572,6 @@ func FuzzRunMatchesOracle(f *testing.F) {
 		cfg := Config{
 			Width:             1 + int(width%48),
 			WindowSize:        1 + int(window%48),
-			NumFUs:            1 + int(fus%48),
 			BranchPenalty:     int(penalties % 8),
 			ValuePenalty:      int(penalties >> 3 % 4),
 			LoadLatency:       1 + int(latencies%5),

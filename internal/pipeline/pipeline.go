@@ -1,6 +1,7 @@
 // Package pipeline implements the paper's Section 5 realistic machine: a
 // 40-wide decode/issue processor with a 40-entry instruction window, 40
-// execution units, register renaming (no name dependencies), branch
+// execution units (which that window never oversubscribes, so no unit
+// limit is modelled), register renaming (no name dependencies), branch
 // prediction with a 3-cycle misprediction penalty, and value prediction
 // with a 1-cycle misprediction penalty where only the dependent
 // instructions are invalidated and rescheduled.
@@ -13,6 +14,12 @@
 // outcomes depend on the trace alone), or through the banked prediction
 // network of internal/core, which may deny predictions on bank conflicts
 // and expands merged duplicate-PC requests.
+//
+// Run drives the machine from a fetch engine. RunPerfectFetch drives the
+// same recurrence from a trace behind perfect fetch, with no taken-branch
+// limit, no redirect bubble and no group boundary: that is the paper's
+// Section 3 ideal machine (internal/ideal), whose only fetch limits are the
+// width and the window.
 package pipeline
 
 import (
@@ -28,13 +35,16 @@ import (
 
 // Config parameterises the machine.
 type Config struct {
-	// Width is the decode/issue/commit width (paper: 40).
+	// Width is the decode/issue/commit width (paper: 40); behind perfect
+	// fetch it is the ideal machine's fetch/issue width (the paper sweeps
+	// 4, 8, 16, 32, 40).
 	Width int
 	// WindowSize is the instruction window; an instruction occupies a slot
-	// from fetch to commit (paper: 40).
+	// from fetch to commit (paper: 40). There is no functional-unit limit:
+	// a record executing in cycle k sat in the window through k-1, so no
+	// more than WindowSize records share an execute cycle, and the paper's
+	// 40 units never bind a 40-entry window.
 	WindowSize int
-	// NumFUs bounds instructions executed per cycle (paper: 40).
-	NumFUs int
 	// BranchPenalty is the misprediction redirect bubble in cycles
 	// (paper: 3): fetch resumes at the branch's execute cycle + penalty.
 	// Run rejects a negative value.
@@ -63,6 +73,10 @@ type Config struct {
 	// delivery network instead of Predictor (Section 4). At most one of
 	// Predictor, Outcomes and Network may be set.
 	Network *core.Network
+	// OracleVP models the perfect value predictor of the Table 3.2
+	// walk-through: every value-producing instruction is predicted
+	// correctly. It overrides Predictor, Outcomes and Network.
+	OracleVP bool
 	// IncludeMemoryDeps makes loads depend on the latest store to the
 	// same address.
 	IncludeMemoryDeps bool
@@ -72,6 +86,9 @@ type Config struct {
 	// latency delays the result, not unit reuse. Value prediction hides
 	// it for correctly predicted loads (see ablation.latency).
 	LoadLatency int
+	// Observer, when non-nil, is called once per instruction, in fetch
+	// order, with its sequence number, fetch cycle and execute cycle.
+	Observer func(seq, fetchCycle, execCycle uint64)
 	// Obs, when non-nil, receives per-cycle stage occupancy, stall causes
 	// and value-prediction outcomes. Observability is strictly write-only:
 	// nothing recorded here feeds back into the simulation, so results are
@@ -92,7 +109,7 @@ func (cfg Config) latencyOf(op isa.Opcode) uint64 {
 // prediction.
 func DefaultConfig() Config {
 	return Config{
-		Width: 40, WindowSize: 40, NumFUs: 40,
+		Width: 40, WindowSize: 40,
 		BranchPenalty: 3, ValuePenalty: 0,
 		IncludeMemoryDeps: true, LoadLatency: 1,
 	}
@@ -100,9 +117,15 @@ func DefaultConfig() Config {
 
 // Result reports one simulation run.
 type Result struct {
+	// Insts and Cycles give the committed instruction count and the total
+	// cycles; IPC is their ratio.
 	Insts  uint64
 	Cycles uint64
-	// Value-prediction accounting, as in internal/ideal.
+	// Attempted counts confident predictions made at fetch; Correct those
+	// matching the committed value. Used counts correct predictions that
+	// decoupled at least one consumer from an unexecuted producer; Useless
+	// is Correct - Used (correct but the consumers' operands were ready
+	// anyway — the phenomenon of Section 3).
 	Attempted uint64
 	Correct   uint64
 	Used      uint64
@@ -157,7 +180,7 @@ const maxLatency = 1024
 
 // producer is the latest writer of a register, as its readers see it.
 type producer struct {
-	exec, result uint64 // execute cycle; cycle its value is forwardable (exec + latency)
+	result       uint64 // cycle its value is forwardable: exec + latency
 	right, wrong bool   // its value was predicted correctly / wrongly
 	useful       uint64 // earliest execute cycle of a consumer it decoupled; 0 if none
 }
@@ -224,7 +247,7 @@ func (c *clock) tick() {
 	c.inflight -= c.at(c.now).commit
 }
 
-// machine is one run's state besides the fetch engine.
+// machine is one run's state, whichever driver feeds it records.
 type machine struct {
 	cfg        Config
 	res        Result
@@ -232,6 +255,45 @@ type machine struct {
 	s          *scratch
 	regs       [32]producer
 	lastCommit uint64 // commit cycle of the youngest instruction, with HoldUntilCommit
+}
+
+// start validates cfg and readies m for a run in cycle 1, drawing its
+// scratch from the pool; the caller returns it with putScratch(m.s).
+// OracleVP clears the other ways of predicting values from m's copy.
+func (m *machine) start(cfg Config) error {
+	if cfg.Width <= 0 || cfg.WindowSize <= 0 ||
+		cfg.BranchPenalty < 0 || cfg.ValuePenalty < 0 ||
+		max(cfg.ValuePenalty, cfg.LoadLatency) > maxLatency {
+		return fmt.Errorf("pipeline: invalid config %+v", cfg)
+	}
+	if (cfg.Predictor != nil && cfg.Network != nil) || (cfg.Outcomes != nil && (cfg.Predictor != nil || cfg.Network != nil)) {
+		return fmt.Errorf("pipeline: set at most one of Predictor, Outcomes and Network")
+	}
+	if cfg.OracleVP {
+		cfg.Predictor, cfg.Outcomes, cfg.Network = nil, nil, nil
+	}
+	m.cfg, m.s = cfg, getScratch() // the store map, the ring's array and the buffers
+	m.clk = clock{now: 1, ring: m.s.ring, o: cfg.Obs}
+	return nil
+}
+
+// finish closes the run once its last record is fetched. The machine runs
+// until its window drains (an empty trace takes the one cycle that finds
+// it empty); a last tick closes that cycle.
+func (m *machine) finish() (Result, error) {
+	clk, res := &m.clk, &m.res
+	if m.cfg.Outcomes != nil && res.Insts != uint64(m.cfg.Outcomes.Len()) {
+		return Result{}, errOutcomesLen(m.cfg.Outcomes)
+	}
+	for clk.inflight > 0 {
+		clk.tick()
+	}
+	res.Cycles = clk.now
+	clk.tick()
+	res.OccupancySum = clk.occupancy
+	clk.o.RunDone(res.Insts, res.Cycles, res.Correct, res.Used)
+	m.s.ring = clk.ring // hand the (possibly grown) ring back for the next run
+	return *res, nil
 }
 
 // Run simulates the trace delivered by eng under cfg. Issue is oldest-first
@@ -242,26 +304,19 @@ type machine struct {
 //   - a group is fetched in the first cycle after the previous group's, and
 //     not before the last mispredicted branch executes plus BranchPenalty,
 //     with a free window slot; it holds up to min(free slots, Width) records;
-//   - a record executes in the first cycle with a free functional unit at
-//     or after fetch+2 and the result cycle of each unpredicted in-flight
-//     producer (plus ValuePenalty for a mispredicted one); a correctly
-//     predicted one adds no constraint, and counts once in Used if a
-//     consumer executes before its result;
+//   - a record executes at fetch+2 or, if later, at the result cycle of
+//     each unpredicted in-flight producer (plus ValuePenalty for a
+//     mispredicted one); a correctly predicted one adds no constraint, and
+//     counts once in Used if a consumer executes before its result;
 //   - it leaves the window as it executes or, with HoldUntilCommit, at
 //     commit: the first cycle at or after exec+1 and the previous commit
 //     with fewer than Width commits.
 func Run(eng fetch.Engine, cfg Config) (Result, error) {
-	if cfg.Width <= 0 || cfg.WindowSize <= 0 || cfg.NumFUs <= 0 ||
-		cfg.BranchPenalty < 0 || cfg.ValuePenalty < 0 ||
-		max(cfg.ValuePenalty, cfg.LoadLatency) > maxLatency {
-		return Result{}, fmt.Errorf("pipeline: invalid config %+v", cfg)
+	var m machine
+	if err := m.start(cfg); err != nil {
+		return Result{}, err
 	}
-	if (cfg.Predictor != nil && cfg.Network != nil) || (cfg.Outcomes != nil && (cfg.Predictor != nil || cfg.Network != nil)) {
-		return Result{}, fmt.Errorf("pipeline: set at most one of Predictor, Outcomes and Network")
-	}
-	s := getScratch() // the store map, the ring's array and the lookup buffer
-	defer putScratch(s)
-	m := machine{cfg: cfg, s: s, clk: clock{now: 1, ring: s.ring, o: cfg.Obs}}
+	defer putScratch(m.s)
 	clk, res := &m.clk, &m.res
 	if cfg.Obs != nil { // nil when instrumentation is disabled
 		fetch.Instrument(eng, cfg.Obs)
@@ -284,40 +339,78 @@ func Run(eng fetch.Engine, cfg Config) (Result, error) {
 			if !ok {
 				break
 			}
-			if cfg.Outcomes != nil && res.Insts+uint64(len(g.Recs)) > uint64(cfg.Outcomes.Len()) {
-				return Result{}, errOutcomesLen(cfg.Outcomes)
+			exec, err := m.ingest(g.Recs)
+			if err != nil {
+				return Result{}, err
 			}
-			exec := m.ingest(g.Recs)
 			if g.Mispredict && len(g.Recs) > 0 {
 				resume = exec + uint64(cfg.BranchPenalty)
 			}
 		}
 		clk.tick()
 	}
-	if cfg.Outcomes != nil && res.Insts != uint64(cfg.Outcomes.Len()) {
-		return Result{}, errOutcomesLen(cfg.Outcomes)
-	}
-	// The machine runs until its window drains (an empty trace takes the
-	// one cycle that finds it empty); a last tick closes that cycle.
-	for clk.inflight > 0 {
-		clk.tick()
-	}
-	res.Cycles = clk.now
-	clk.tick()
-	res.OccupancySum = clk.occupancy
 	res.Fetch = eng.Stats()
-	clk.o.RunDone(res.Insts, res.Cycles, res.Correct, res.Used)
-	s.ring = clk.ring // hand the (possibly grown) ring back for the next run
-	return *res, nil
+	return m.finish()
+}
+
+// RunPerfectFetch simulates src under cfg behind perfect fetch: each cycle
+// fetches the next min(free window slots, Width) records of src, so no
+// branch ever stalls fetch and no group ends early. This is the paper's
+// Section 3 ideal machine. It counts no stall cycles and leaves
+// Result.Fetch zero; BranchPenalty has nothing to act on.
+func RunPerfectFetch(src trace.Source, cfg Config) (Result, error) {
+	var m machine
+	if err := m.start(cfg); err != nil {
+		return Result{}, err
+	}
+	defer putScratch(m.s)
+	// A slice-backed source hands out zero-copy views of its records;
+	// any other is read into the scratch's group buffer.
+	var flat []trace.Rec
+	ss, isFlat := src.(*trace.SliceSource)
+	if isFlat {
+		flat = ss.Recs()
+	}
+	for {
+		if space := min(cfg.WindowSize-m.clk.inflight, cfg.Width); space > 0 {
+			var g []trace.Rec
+			if isFlat {
+				n := min(space, len(flat))
+				g, flat = flat[:n:n], flat[n:]
+			} else {
+				g = m.s.group[:0]
+				for len(g) < space {
+					rec, ok := src.Next()
+					if !ok {
+						break
+					}
+					g = append(g, rec)
+				}
+				m.s.group = g
+			}
+			if len(g) == 0 {
+				break
+			}
+			if _, err := m.ingest(g); err != nil {
+				return Result{}, err
+			}
+		}
+		m.clk.tick()
+	}
+	return m.finish()
 }
 
 // ingest fetches one group in cycle m.clk.now: it takes the group's
 // value-prediction outcomes (directly or through the network), places each
 // record's execute and commit cycles in program order and publishes it as
-// a producer. It returns the last record's execute cycle.
-func (m *machine) ingest(recs []trace.Rec) (exec uint64) {
+// a producer. It returns the last record's execute cycle, or an error if
+// the recorded outcome stream ends before the group does.
+func (m *machine) ingest(recs []trace.Rec) (exec uint64, err error) {
 	cfg, clk, res := &m.cfg, &m.clk, &m.res
 	fetch, penalty := clk.now, uint64(cfg.ValuePenalty)
+	if cfg.Outcomes != nil && res.Insts+uint64(len(recs)) > uint64(cfg.Outcomes.Len()) {
+		return 0, errOutcomesLen(cfg.Outcomes)
+	}
 
 	// Network mode performs all lookups for the group first (the banked
 	// table is read once per cycle), then updates record by record. The
@@ -339,6 +432,8 @@ func (m *machine) ingest(recs []trace.Rec) (exec uint64) {
 		if rec.WritesValue() {
 			var confident, correct bool
 			switch {
+			case cfg.OracleVP:
+				confident, correct = true, true
 			case cfg.Network != nil:
 				r := replies[0]
 				replies = replies[1:]
@@ -379,9 +474,6 @@ func (m *machine) ingest(recs []trace.Rec) (exec uint64) {
 			// address reads as 0.
 			exec = max(exec, m.s.stores[rec.Addr]+1)
 		}
-		for clk.at(exec).exec == cfg.NumFUs {
-			exec++
-		}
 		clk.at(exec).exec++
 
 		// A correctly predicted in-flight producer whose result is not
@@ -412,16 +504,19 @@ func (m *machine) ingest(recs []trace.Rec) (exec uint64) {
 		clk.at(commit).commit++
 
 		if rec.WritesValue() {
-			m.regs[rec.Rd] = producer{exec: exec, result: exec + cfg.latencyOf(rec.Op), right: right, wrong: wrong}
+			m.regs[rec.Rd] = producer{result: exec + cfg.latencyOf(rec.Op), right: right, wrong: wrong}
 		}
 		if cfg.IncludeMemoryDeps && rec.Op.IsStore() {
 			m.s.stores[rec.Addr] = exec
+		}
+		if cfg.Observer != nil {
+			cfg.Observer(rec.Seq, fetch, exec)
 		}
 		clk.fetched++
 		clk.inflight++
 		res.Insts++
 	}
-	return exec
+	return exec, nil
 }
 
 // errOutcomesLen reports a recorded outcome stream that does not match the

@@ -1,22 +1,28 @@
 package pipeline
 
-import "sync"
+import (
+	"sync"
 
-// This file is the Section 5 machine's memory discipline (DESIGN.md §12,
-// "Memory discipline"), mirroring internal/ideal's scratch. Run keeps its
-// register producers in an array and holds no window, so the only per-run
-// state it reuses is the store-address map, the clock ring's backing array
-// and the network lookup buffer. They come from a process-wide sync.Pool,
-// which caches per-P (effectively per plan worker), so a worker reuses a
-// warmed map cell after cell: the ideal machine found that building its
-// map fresh in every run raised the sec3 benchmark's peak RSS from about
-// 41 to about 52 MB. A scratch is fully reset at acquisition (map cleared,
-// ring zeroed, buffer truncated, capacity kept) and owned by one Run until
-// the matching Put.
+	"valuepred/internal/trace"
+)
+
+// This file is the machine's memory discipline (DESIGN.md §12, "Memory
+// discipline"), shared by both drivers and so by the Section 3 and
+// Section 5 machines alike. Run and RunPerfectFetch keep their register
+// producers in an array and hold no window, so the only per-run state they
+// reuse is the store-address map, the clock ring's backing array, the
+// network lookup buffer and the group buffer RunPerfectFetch reads a
+// non-slice source into. They come from a process-wide sync.Pool, which
+// caches per-P (effectively per plan worker), so a worker reuses a warmed
+// map cell after cell: building the map fresh in every run raised the
+// sec3 benchmark's peak RSS from about 41 to about 52 MB. A scratch is
+// fully reset at acquisition (map cleared, ring zeroed, buffers truncated,
+// capacity kept) and owned by one run until the matching Put.
 type scratch struct {
 	stores map[uint64]uint64 // store address → execute cycle of its latest store
 	ring   []slot            // backing array of the run's clock ring
 	pcs    []uint64          // ingest's per-group network lookup buffer
+	group  []trace.Rec       // RunPerfectFetch's fetch group from a non-slice source
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -29,6 +35,7 @@ func getScratch() *scratch {
 	clear(s.stores)
 	clear(s.ring)
 	s.pcs = s.pcs[:0]
+	s.group = s.group[:0]
 	return s
 }
 

@@ -192,7 +192,9 @@ func AnalyzeDID(recs []Rec, includeMemoryDeps bool) *DIDAnalysis {
 
 // --- machine models ---
 
-// IdealConfig parameterises the Section 3 ideal machine.
+// IdealConfig parameterises the Section 3 ideal machine. It is the same
+// type as MachineConfig: the ideal machine is the Section 5 machine behind
+// perfect fetch, with Width as its fetch width.
 type IdealConfig = ideal.Config
 
 // IdealResult is the ideal machine's outcome.
