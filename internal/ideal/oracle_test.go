@@ -284,7 +284,9 @@ func (want outcome) diff(got outcome) string {
 // compare runs Run and the oracle on recs under cfg, each with a fresh
 // predictor from newPred (nil for none), and reports any difference: Run
 // must match the oracle with Obs set and its Result and timings with Obs
-// nil, which takes the uninstrumented path. With a predictor, Run must
+// nil, which takes the uninstrumented path, whether it views the slice
+// source's records or reads them through the bare Source interface (see
+// runOpaque). With a predictor, Run must
 // also match the oracle when it replays the outcome stream a fresh
 // predictor records over recs. label names the trace and predictor in
 // failure messages.
@@ -312,6 +314,16 @@ func compare(t testing.TB, label string, recs []trace.Rec, cfg Config, newPred f
 	if d := want.diff(observe(t, Run, recs, with(cfg), false)); d != "" {
 		t.Errorf("%s without Obs: %s", label, d)
 	}
+	if d := want.diff(observe(t, runOpaque, recs, with(cfg), false)); d != "" {
+		t.Errorf("%s from a non-slice source: %s", label, d)
+	}
+}
+
+// runOpaque is Run over src hidden behind the bare Source interface, so
+// the machine reads it record by record into its pooled group buffer, as
+// it does a chunk cursor, instead of viewing the slice.
+func runOpaque(src trace.Source, cfg Config) (Result, error) {
+	return Run(struct{ trace.Source }{src}, cfg)
 }
 
 // TestRunMatchesOracle requires the one-pass engine to reproduce the

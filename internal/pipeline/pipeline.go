@@ -427,9 +427,11 @@ func (m *machine) ingest(recs []trace.Rec) (exec uint64, err error) {
 		replies = cfg.Network.ProcessGroup(pcs)
 	}
 
-	for _, rec := range recs {
+	for i := range recs {
+		rec := &recs[i] // read in place: a record is 64 bytes
+		writes := rec.WritesValue()
 		var right, wrong bool
-		if rec.WritesValue() {
+		if writes {
 			var confident, correct bool
 			switch {
 			case cfg.OracleVP:
@@ -444,7 +446,7 @@ func (m *machine) ingest(recs []trace.Rec) (exec uint64, err error) {
 				confident, correct = r.Valid, r.Pred.Value == rec.Val
 				cfg.Network.Update(rec.PC, rec.Val)
 			case cfg.Predictor != nil || cfg.Outcomes != nil:
-				confident, correct = predictor.Step(cfg.Predictor, cfg.Outcomes, int(res.Insts), &rec)
+				confident, correct = predictor.Step(cfg.Predictor, cfg.Outcomes, int(res.Insts), rec)
 			}
 			if confident {
 				right, wrong = correct, !correct
@@ -474,7 +476,13 @@ func (m *machine) ingest(recs []trace.Rec) (exec uint64, err error) {
 			// address reads as 0.
 			exec = max(exec, m.s.stores[rec.Addr]+1)
 		}
-		clk.at(exec).exec++
+		// Without HoldUntilCommit it commits, and leaves the window, as it
+		// executes.
+		s := clk.at(exec)
+		s.exec++
+		if !cfg.HoldUntilCommit {
+			s.commit++
+		}
 
 		// A correctly predicted in-flight producer whose result is not
 		// forwardable yet decoupled this consumer: it counts once in Used,
@@ -493,17 +501,16 @@ func (m *machine) ingest(recs []trace.Rec) (exec uint64, err error) {
 			p.useful = exec
 		}
 
-		commit := exec
 		if cfg.HoldUntilCommit {
-			commit = max(exec+1, m.lastCommit)
+			commit := max(exec+1, m.lastCommit)
 			for clk.at(commit).commit == cfg.Width {
 				commit++
 			}
 			m.lastCommit = commit
+			clk.at(commit).commit++
 		}
-		clk.at(commit).commit++
 
-		if rec.WritesValue() {
+		if writes {
 			m.regs[rec.Rd] = producer{result: exec + cfg.latencyOf(rec.Op), right: right, wrong: wrong}
 		}
 		if cfg.IncludeMemoryDeps && rec.Op.IsStore() {
