@@ -478,10 +478,10 @@ func (m *machine) ingest(recs []trace.Rec) (exec uint64, err error) {
 		}
 		// Without HoldUntilCommit it commits, and leaves the window, as it
 		// executes.
-		s := clk.at(exec)
-		s.exec++
+		cycle := clk.at(exec)
+		cycle.exec++
 		if !cfg.HoldUntilCommit {
-			s.commit++
+			cycle.commit++
 		}
 
 		// A correctly predicted in-flight producer whose result is not
