@@ -42,7 +42,7 @@ func DefaultConfig(width int) Config {
 }
 
 // Result reports the simulation outcome: the counts of pipeline.Result
-// that mean something behind perfect fetch.
+// (documented there) that mean something behind perfect fetch.
 type Result struct {
 	Insts     uint64
 	Cycles    uint64
@@ -70,11 +70,12 @@ func Speedup(base, r Result) float64 {
 	return (r.IPC()/base.IPC() - 1) * 100
 }
 
-// Run simulates the trace under cfg behind perfect fetch: every cycle
-// fetches the next min(width, free window slots) records, each executes
-// at the latest of fetch+2, producer+1 for each operand whose in-flight
-// producer was not predicted correctly and, for a load, the latest store
-// to its address plus 1, and leaves the window as it executes.
+// Run simulates the trace under cfg behind perfect fetch
+// (pipeline.RunPerfectFetch). Under DefaultConfig every cycle fetches the
+// next min(width, free window slots) records; each executes at the latest
+// of fetch+2, producer+1 for each operand whose in-flight producer was not
+// predicted correctly and, for a load, the latest store to its address
+// plus 1, and leaves the window as it executes.
 func Run(src trace.Source, cfg Config) (Result, error) {
 	res, err := pipeline.RunPerfectFetch(src, cfg)
 	if err != nil {

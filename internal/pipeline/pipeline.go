@@ -247,7 +247,7 @@ func (c *clock) tick() {
 	c.inflight -= c.at(c.now).commit
 }
 
-// machine is one run's state, whichever driver feeds it records.
+// machine is one run's state, whichever entry point feeds it records.
 type machine struct {
 	cfg        Config
 	res        Result

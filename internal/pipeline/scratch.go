@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the machine's memory discipline (DESIGN.md §12, "Memory
-// discipline"), shared by both drivers and so by the Section 3 and
+// discipline"), shared by both entry points and so by the Section 3 and
 // Section 5 machines alike. Run and RunPerfectFetch keep their register
 // producers in an array and hold no window, so the only per-run state they
 // reuse is the store-address map, the clock ring's backing array, the

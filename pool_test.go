@@ -24,12 +24,11 @@ import (
 // buffers. Any stale scratch state leaking between cells shows up as a
 // diff; under `make race` the same hammer doubles as a data-race probe on
 // the pool itself. Both machines draw from the pipeline's one scratch
-// pool: fig3.1 dirties it through the perfect-fetch driver (the
-// store-address map and cycle ring), fig5.3 through the fetch-engine
-// driver (the same two plus the network PC buffer) and reuses the
-// network's group buffers. The group buffer the perfect-fetch driver
-// reads a non-slice source into is dirtied by the streamed runs of
-// stream_test.go, which must match the flat renders.
+// pool: fig3.1 dirties it through RunPerfectFetch (the store-address map
+// and cycle ring), fig5.3 through Run (the same two plus the network PC
+// buffer) and reuses the network's group buffers. The group buffer
+// RunPerfectFetch reads a non-slice source into is dirtied by the
+// streamed runs of stream_test.go, which must match the flat renders.
 func TestPooledScratchReuseIsDeterministic(t *testing.T) {
 	p := DefaultParams()
 	p.TraceLen = 4_000
