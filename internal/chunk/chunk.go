@@ -17,14 +17,20 @@
 //     experiment cells share one cached trace at chunk granularity.
 //   - A Cursor owns one pooled Chunk at a time as its decode buffer and
 //     returns it to the pool at end of stream. Records handed out by Next
-//     are copies; callers may keep them forever.
+//     are copies; callers may keep them forever. Records lent by View
+//     alias the decode buffer and are valid only until the next call on
+//     the cursor: that call may decode the next block over them or, at
+//     the end of the stream, return the buffer to the pool. A caller that
+//     needs a view longer copies it first.
 //   - A Window owns its buffer and lends callers read-only views of it
-//     (View); a view is valid only until the next call that advances the
-//     window, mirroring the fetch.Group.Recs contract.
+//     (View); a view is valid only until the next Mark, mirroring the
+//     fetch.Group.Recs contract. It copies a viewing source's records
+//     into its buffer in bulk, so it holds no view of the source.
 package chunk
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 
 	"valuepred/internal/trace"
@@ -39,8 +45,8 @@ const DefaultSize = 8192
 // Chunk is a reusable buffer of decoded trace records — the unit of
 // transfer between the emulator, the codec and the consumers. A Chunk is
 // exclusively owned by its holder from getChunk to putChunk; Recs must
-// never be retained across putChunk (records are copied out by consumers
-// before release).
+// never be retained across putChunk (consumers copy records out, or hold
+// a Cursor's view of them only until their next call on it).
 type Chunk struct {
 	// Recs holds the decoded records. The slice (including its capacity)
 	// belongs to the Chunk; holders append to it while they own the Chunk
@@ -114,7 +120,7 @@ func Build(src trace.Source, max, size int) (*Seq, error) {
 		if max > 0 && max-q.n < want {
 			want = max - q.n
 		}
-		c.Recs = c.Recs[:0]
+		c.Recs = slices.Grow(c.Recs[:0], want)
 		for len(c.Recs) < want {
 			r, ok := src.Next()
 			if !ok {

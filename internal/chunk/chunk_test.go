@@ -2,7 +2,10 @@ package chunk
 
 import (
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"valuepred/internal/isa"
 	"valuepred/internal/trace"
@@ -103,6 +106,9 @@ func TestCursorPrefix(t *testing.T) {
 		if cur.Err() != nil {
 			t.Fatalf("prefix %d: err = %v", n, cur.Err())
 		}
+		if got := drainViews(t, NewCursor(q, n)); !slices.Equal(got, recs[:n]) {
+			t.Fatalf("prefix %d: View and Next served %d records, not the first %d of the trace", n, len(got), n)
+		}
 	}
 	// Oversized and negative requests clamp.
 	if got := NewCursor(q, 99999).Len(); got != 5000 {
@@ -111,6 +117,43 @@ func TestCursorPrefix(t *testing.T) {
 	if got := NewCursor(q, -1).Len(); got != 0 {
 		t.Fatalf("negative Len() = %d, want 0", got)
 	}
+}
+
+// drainViews drains c through View calls of sizes 1 to 100, every third
+// call a Next instead, and checks each view's shape: no more records than
+// asked for, capacity capped, fewer only at a chunk boundary or the end.
+func drainViews(t *testing.T, c *Cursor) []trace.Rec {
+	t.Helper()
+	var got []trace.Rec
+	for call := 0; ; call++ {
+		if call%3 == 2 {
+			r, ok := c.Next()
+			if !ok {
+				break
+			}
+			got = append(got, r)
+			continue
+		}
+		n := call%100 + 1
+		v := c.View(n)
+		if len(v) == 0 {
+			break
+		}
+		if len(v) > n || cap(v) != len(v) {
+			t.Fatalf("View(%d) returned len %d cap %d", n, len(v), cap(v))
+		}
+		if end := len(got) + len(v); len(v) < n && end%c.seq.ChunkSize() != 0 && end != c.Len() {
+			t.Fatalf("View(%d) returned %d records, ending at %d: neither a chunk boundary nor the end", n, len(v), end)
+		}
+		got = append(got, v...) // copy before the next call reuses the chunk
+	}
+	if c.Err() != nil {
+		t.Fatalf("err = %v", c.Err())
+	}
+	if c.View(1) != nil {
+		t.Fatal("View after the end returned records")
+	}
+	return got
 }
 
 func TestBuildShortSource(t *testing.T) {
@@ -136,14 +179,29 @@ func TestBuildShortSource(t *testing.T) {
 // TestWindowMatchesSlice drives a Window with the mark/peek/advance/view
 // pattern the fetch engines use and checks every view against the flat
 // slice, including peeks that cross chunk boundaries and one group that
-// outgrows the initial window capacity.
+// outgrows the initial window capacity. It runs over a cursor, which the
+// window fills from in bulk, and over the same cursor behind the bare
+// Source interface, which the window fills from one record at a time.
 func TestWindowMatchesSlice(t *testing.T) {
 	recs := synth(10_000)
 	q, err := Build(trace.NewSliceSource(recs), len(recs), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWindow(NewCursor(q, len(recs)))
+	for _, src := range []struct {
+		name string
+		src  trace.Source
+	}{
+		{"viewing", NewCursor(q, len(recs))},
+		{"bare", struct{ trace.Source }{NewCursor(q, len(recs))}},
+	} {
+		t.Run(src.name, func(t *testing.T) { checkWindow(t, NewWindow(src.src), recs) })
+	}
+}
+
+// checkWindow drains w with the fetch engines' access pattern and checks
+// every peek and view against recs.
+func checkWindow(t *testing.T, w *Window, recs []trace.Rec) {
 	pos := 0
 	group := 0
 	for !w.EOF() {
@@ -221,5 +279,75 @@ func TestCursorAllocBudget(t *testing.T) {
 	drain() // warm the chunk pool
 	if allocs := testing.AllocsPerRun(5, drain); allocs > 20 {
 		t.Fatalf("drain of %d records allocated %.0f times, budget 20: decode buffers are not being pooled", len(recs), allocs)
+	}
+}
+
+// TestColdCursorAllocBudget pins that a cursor sizes a chunk fresh from
+// the pool once: after two GCs empty the pool, draining a one-chunk
+// sequence allocates that chunk's records plus slack, not the 5x that
+// growing it by append costs.
+func TestColdCursorAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are checked without -race: sync.Pool drops items at random under the race detector")
+	}
+	q, err := Build(trace.NewSliceSource(synth(DefaultSize)), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCursor(q, q.Len())
+	runtime.GC()
+	runtime.GC() // the first GC moves pooled chunks to the victim cache, the second frees them
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := 0
+	for _, ok := c.Next(); ok; _, ok = c.Next() {
+		n++
+	}
+	runtime.ReadMemStats(&after)
+	if n != q.Len() {
+		t.Fatalf("drained %d records, want %d", n, q.Len())
+	}
+	chunkBytes := uint64(DefaultSize) * uint64(unsafe.Sizeof(trace.Rec{}))
+	if got, budget := after.TotalAlloc-before.TotalAlloc, chunkBytes+64<<10; got > budget {
+		t.Fatalf("draining a cold one-chunk cursor allocated %d bytes, budget %d (one chunk of %d plus 64 KiB)", got, budget, chunkBytes)
+	}
+}
+
+// BenchmarkCursor drains a 100k-record sequence from a warm pool through
+// Next, which copies each record out, and through View, which lends them
+// in place; ns/rec is the decode cost per record plus the reading.
+func BenchmarkCursor(b *testing.B) {
+	recs := synth(100_000)
+	q, err := Build(trace.NewSliceSource(recs), 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		read func(c *Cursor) int
+	}{
+		{"Next", func(c *Cursor) int {
+			n := 0
+			for _, ok := c.Next(); ok; _, ok = c.Next() {
+				n++
+			}
+			return n
+		}},
+		{"View", func(c *Cursor) int {
+			n := 0
+			for v := c.View(40); len(v) > 0; v = c.View(40) {
+				n += len(v)
+			}
+			return n
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for range b.N {
+				if n := bc.read(NewCursor(q, q.Len())); n != len(recs) {
+					b.Fatalf("drained %d records, want %d", n, len(recs))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/rec")
+		})
 	}
 }

@@ -1,7 +1,8 @@
 package chunk
 
 import (
-	"bytes"
+	"fmt"
+	"slices"
 
 	"valuepred/internal/trace"
 )
@@ -11,22 +12,22 @@ import (
 // blocks into it on demand, and returns the Chunk to the pool when the
 // stream ends — so N concurrent cursors over the same Seq cost N chunks of
 // decoded records, not N trace copies. Records returned by Next are copies
-// and may be retained by the caller indefinitely.
+// and may be retained by the caller indefinitely; View lends them in place
+// (see trace.Viewer).
 //
 // A Cursor abandoned before end of stream simply drops its buffer to the
 // garbage collector; Put-back is an optimization, not a correctness
 // requirement.
 type Cursor struct {
 	seq    *Seq
-	limit  int // records to serve (prefix length)
-	served int // records handed out so far
-	base   int // records in blocks[:block], i.e. Seq number of the next block's first record
-	block  int // next block to decode
-	br     bytes.Reader
-	dec    trace.Reader
+	limit  int    // records to serve (prefix length)
+	served int    // records handed out so far
+	base   int    // records in blocks[:block], i.e. Seq number of the next block's first record
+	block  int    // next block to decode
 	buf    *Chunk // pooled decode buffer; nil before first fill and after release
-	// cur is the served view of the current decoded chunk. It aliases
-	// buf.Recs, which this Cursor owns until release; it is never exposed.
+	// cur is the served part of the current decoded chunk. It aliases
+	// buf.Recs, which this Cursor owns until release; View lends parts of
+	// it until the next call.
 	cur []trace.Rec
 	pos int // next index in cur
 	err error
@@ -49,9 +50,10 @@ func NewCursor(q *Seq, n int) *Cursor {
 // trace.Collect can size its output up front.
 func (c *Cursor) Len() int { return c.limit }
 
-// Err returns the first decode error, if any. A Seq built by Build cannot
-// produce one; Err exists so corruption is loud rather than a silent
-// truncation.
+// Err returns the first decode error, if any: a block that does not
+// decode, or one that decodes to another number of records than the Seq
+// says it holds. A Seq built by Build cannot produce one; Err exists so
+// corruption is loud rather than a silent truncation.
 func (c *Cursor) Err() error { return c.err }
 
 // Next implements trace.Source. The returned record is a copy.
@@ -65,8 +67,25 @@ func (c *Cursor) Next() (trace.Rec, bool) {
 	return r, true
 }
 
+// View implements trace.Viewer: it lends up to n next records of the
+// current decoded chunk in place. The view is valid until the next call
+// on the cursor, which may decode the next block over it or, at the end
+// of the stream, return the chunk to the pool.
+func (c *Cursor) View(n int) []trace.Rec {
+	if c.pos >= len(c.cur) && !c.fill() {
+		return nil
+	}
+	n = min(max(n, 0), len(c.cur)-c.pos)
+	v := c.cur[c.pos : c.pos+n : c.pos+n]
+	c.pos += n
+	c.served += n
+	return v
+}
+
 // fill decodes the next block into the pooled buffer and points cur at the
-// prefix of it that is still within the cursor's limit.
+// prefix of it that is still within the cursor's limit. A block's record
+// count is not trusted: one that disagrees with the decoded records is an
+// error, since the next block's records are numbered from it.
 func (c *Cursor) fill() bool {
 	if c.served >= c.limit || c.block >= len(c.seq.blocks) || c.err != nil {
 		c.release()
@@ -76,17 +95,15 @@ func (c *Cursor) fill() bool {
 		c.buf = getChunk()
 	}
 	b := c.seq.blocks[c.block]
-	c.br.Reset(b.data)
-	c.dec.Reset(&c.br, uint64(c.base))
-	c.buf.Recs = c.buf.Recs[:0]
-	for {
-		r, ok := c.dec.Next()
-		if !ok {
-			break
-		}
-		c.buf.Recs = append(c.buf.Recs, r)
+	// Size the buffer once; each record takes at least one byte, so no
+	// count above the block's size can be right.
+	recs := slices.Grow(c.buf.Recs[:0], min(b.n, len(b.data)))
+	recs, err := trace.DecodeBlock(recs, b.data, uint64(c.base))
+	c.buf.Recs = recs
+	if err == nil && len(recs) != b.n {
+		err = fmt.Errorf("chunk: block %d holds %d records, not %d", c.block, len(recs), b.n)
 	}
-	if err := c.dec.Err(); err != nil {
+	if err != nil {
 		c.err = err
 		c.release()
 		return false
@@ -94,10 +111,10 @@ func (c *Cursor) fill() bool {
 	c.base += b.n
 	c.block++
 	need := c.limit - c.served
-	if need < len(c.buf.Recs) {
-		c.cur = c.buf.Recs[:need]
+	if need < len(recs) {
+		c.cur = recs[:need]
 	} else {
-		c.cur = c.buf.Recs
+		c.cur = recs
 	}
 	c.pos = 0
 	return len(c.cur) > 0

@@ -22,16 +22,19 @@ const windowCap = 256
 // be overwritten; records in [mark, pos+lookahead) are pinned.
 type Window struct {
 	src  trace.Source
-	buf  []trace.Rec // full-capacity backing buffer
-	mark int         // start of the pinned region (current group start)
-	pos  int         // consumption cursor; mark <= pos <= n
-	n    int         // records filled: buf[:n] hold decoded records
-	done bool        // source exhausted
+	view trace.Viewer // src, when it lends its records in place; nil otherwise
+	buf  []trace.Rec  // full-capacity backing buffer
+	mark int          // start of the pinned region (current group start)
+	pos  int          // consumption cursor; mark <= pos <= n
+	n    int          // records filled: buf[:n] hold decoded records
+	done bool         // source exhausted
 }
 
 // NewWindow returns a Window over src.
 func NewWindow(src trace.Source) *Window {
-	return &Window{src: src, buf: make([]trace.Rec, windowCap)}
+	w := &Window{src: src, buf: make([]trace.Rec, windowCap)}
+	w.view, _ = src.(trace.Viewer)
+	return w
 }
 
 // Peek returns the record k positions ahead of the cursor without
@@ -39,7 +42,7 @@ func NewWindow(src trace.Source) *Window {
 // trace ends before that position.
 func (w *Window) Peek(k int) (trace.Rec, bool) {
 	for w.pos+k >= w.n {
-		if !w.fillOne() {
+		if !w.fill() {
 			return trace.Rec{}, false
 		}
 	}
@@ -58,8 +61,8 @@ func (w *Window) Mark() { w.mark = w.pos }
 // View returns the records between the last Mark and the cursor as a
 // read-only, capacity-capped view of the window's buffer. The view is
 // valid only until the next Mark; callers that need the records longer
-// must copy them (pipeline.Run copies each record into its scratch window
-// in the same cycle, so the fetch path never does).
+// must copy them (pipeline.Run reads each record in place as it ingests
+// the group, within the cycle, so the fetch path never does).
 func (w *Window) View() []trace.Rec { return w.buf[w.mark:w.pos:w.pos] }
 
 // EOF reports whether the trace is exhausted (no record at the cursor).
@@ -68,10 +71,11 @@ func (w *Window) EOF() bool {
 	return !ok
 }
 
-// fillOne pulls one record from the source into the buffer, compacting
-// away the region before the mark first and growing only if the pinned
-// region fills the whole buffer.
-func (w *Window) fillOne() bool {
+// fill pulls records from the source into the buffer, compacting away the
+// region before the mark first and growing only if the pinned region fills
+// the whole buffer. A viewing source fills every free slot it can with
+// one copy of its next view; any other source fills one slot per Next.
+func (w *Window) fill() bool {
 	if w.done {
 		return false
 	}
@@ -87,6 +91,12 @@ func (w *Window) fillOne() bool {
 			copy(grown, w.buf[:w.n])
 			w.buf = grown
 		}
+	}
+	if w.view != nil {
+		got := copy(w.buf[w.n:], w.view.View(len(w.buf)-w.n))
+		w.n += got
+		w.done = got == 0
+		return got > 0
 	}
 	r, ok := w.src.Next()
 	if !ok {

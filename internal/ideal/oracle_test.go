@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"valuepred/internal/chunk"
 	"valuepred/internal/isa"
 	"valuepred/internal/obs"
 	"valuepred/internal/predictor"
@@ -285,11 +286,11 @@ func (want outcome) diff(got outcome) string {
 // predictor from newPred (nil for none), and reports any difference: Run
 // must match the oracle with Obs set and its Result and timings with Obs
 // nil, which takes the uninstrumented path, whether it views the slice
-// source's records or reads them through the bare Source interface (see
-// runOpaque). With a predictor, Run must
-// also match the oracle when it replays the outcome stream a fresh
-// predictor records over recs. label names the trace and predictor in
-// failure messages.
+// source's records, reads them through the bare Source interface (see
+// runOpaque) or views them from a chunk cursor (see runChunked). With a
+// predictor, Run must also match the oracle when it replays the outcome
+// stream a fresh predictor records over recs. label names the trace and
+// predictor in failure messages.
 func compare(t testing.TB, label string, recs []trace.Rec, cfg Config, newPred func() predictor.Predictor) {
 	t.Helper()
 	with := func(cfg Config) Config {
@@ -315,15 +316,36 @@ func compare(t testing.TB, label string, recs []trace.Rec, cfg Config, newPred f
 		t.Errorf("%s without Obs: %s", label, d)
 	}
 	if d := want.diff(observe(t, runOpaque, recs, with(cfg), false)); d != "" {
-		t.Errorf("%s from a non-slice source: %s", label, d)
+		t.Errorf("%s from a bare source: %s", label, d)
+	}
+	if d := want.diff(observe(t, runChunked, recs, with(cfg), false)); d != "" {
+		t.Errorf("%s from a chunk cursor: %s", label, d)
 	}
 }
 
 // runOpaque is Run over src hidden behind the bare Source interface, so
 // the machine reads it record by record into its pooled group buffer, as
-// it does a chunk cursor, instead of viewing the slice.
+// it does vpbench's timing decorators, instead of viewing the slice.
 func runOpaque(src trace.Source, cfg Config) (Result, error) {
 	return Run(struct{ trace.Source }{src}, cfg)
+}
+
+// runChunked is Run over a cursor of src compressed into 7-record chunks,
+// so the machine views each group in place, assembles in its group buffer
+// the groups that straddle chunks (every group wider than 7 records does),
+// and ends on a short last chunk unless the trace length is a multiple
+// of 7.
+func runChunked(src trace.Source, cfg Config) (Result, error) {
+	q, err := chunk.Build(src, 0, 7)
+	if err != nil {
+		return Result{}, err
+	}
+	c := chunk.NewCursor(q, q.Len())
+	res, err := Run(c, cfg)
+	if err == nil {
+		err = c.Err()
+	}
+	return res, err
 }
 
 // TestRunMatchesOracle requires the one-pass engine to reproduce the

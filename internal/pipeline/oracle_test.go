@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"valuepred/internal/btb"
+	"valuepred/internal/chunk"
 	"valuepred/internal/core"
 	"valuepred/internal/fetch"
 	"valuepred/internal/isa"
@@ -448,16 +449,19 @@ func (want outcome) diff(got outcome) string {
 }
 
 // compare runs Run and the oracle under cfg and mode, each on a fresh
-// fetch engine from newEng over recs, and reports any difference: Run
-// must match the oracle with Obs set, and its Result and timings with Obs
-// nil, which takes the uninstrumented path. With a direct predictor, Run must also
+// fetch engine e builds over recs, and reports any difference: Run must
+// match the oracle with Obs set, and its Result and timings with Obs nil,
+// which takes the uninstrumented path, also when e reads recs from a
+// cursor over 7-record chunks through its bounded window, which fills in
+// bulk from the cursor's views. With a direct predictor, Run must also
 // match the oracle when it replays the outcome stream a fresh predictor
 // records over recs. label names the trace and engine in failures.
-func compare(t testing.TB, label string, recs []trace.Rec, newEng func() fetch.Engine, cfg Config, mode vpMode) {
+func compare(t testing.TB, label string, recs []trace.Rec, e namedEngine, cfg Config, mode vpMode) {
 	t.Helper()
-	label = fmt.Sprintf("%s/%s width=%d window=%d bpen=%d vpen=%d lat=%d rob=%v mem=%v",
-		label, mode, cfg.Width, cfg.WindowSize, cfg.BranchPenalty, cfg.ValuePenalty,
+	label = fmt.Sprintf("%s/%s/%s width=%d window=%d bpen=%d vpen=%d lat=%d rob=%v mem=%v",
+		label, e.name, mode, cfg.Width, cfg.WindowSize, cfg.BranchPenalty, cfg.ValuePenalty,
 		cfg.LoadLatency, cfg.HoldUntilCommit, cfg.IncludeMemoryDeps)
+	newEng := func() fetch.Engine { return e.new(trace.NewSliceSource(recs)) }
 	want := observe(t, oracleRun, newEng, cfg, mode, true)
 	if d := want.diff(observe(t, Run, newEng, cfg, mode, true)); d != "" {
 		t.Errorf("%s: %s", label, d)
@@ -472,6 +476,14 @@ func compare(t testing.TB, label string, recs []trace.Rec, newEng func() fetch.E
 	want.metrics, want.trace = "", ""
 	if d := want.diff(observe(t, Run, newEng, cfg, mode, false)); d != "" {
 		t.Errorf("%s without Obs: %s", label, d)
+	}
+	q, err := chunk.Build(trace.NewSliceSource(recs), 0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunked := func() fetch.Engine { return e.new(chunk.NewCursor(q, q.Len())) }
+	if d := want.diff(observe(t, Run, chunked, cfg, mode, false)); d != "" {
+		t.Errorf("%s from a chunk cursor: %s", label, d)
 	}
 }
 
@@ -500,26 +512,26 @@ func oracleConfigs() []Config {
 	return cfgs
 }
 
-// namedEngine builds a fresh fetch engine for every run.
+// namedEngine builds a fresh fetch engine over a source for every run.
 type namedEngine struct {
 	name string
-	new  func() fetch.Engine
+	new  func(trace.Source) fetch.Engine
 }
 
-// oracleEngines are the fetch engines the oracle comparisons sweep, over
-// recs.
-func oracleEngines(recs []trace.Rec) []namedEngine {
-	twoLevel := func() btb.Predictor { return btb.NewTwoLevel(btb.DefaultTwoLevelConfig()) }
-	return []namedEngine{
-		{"seq-n1-perfect", func() fetch.Engine { return fetch.NewSequential(recs, btb.NewPerfect(), 1) }},
-		{"seq-n4-2level", func() fetch.Engine { return fetch.NewSequential(recs, twoLevel(), 4) }},
-		{"seq-unlimited-perfect", func() fetch.Engine { return fetch.NewSequential(recs, btb.NewPerfect(), -1) }},
-		{"tracecache-2level", func() fetch.Engine { return fetch.NewTraceCache(recs, twoLevel(), fetch.DefaultTCConfig()) }},
-		{"collapsing-2level", func() fetch.Engine {
-			return fetch.NewCollapsingBufferSource(trace.NewSliceSource(recs), twoLevel())
-		}},
-	}
+// oracleEngines are the fetch engines the oracle comparisons sweep. Over
+// a slice source each takes the flat path that the slice constructors
+// (fetch.NewSequential, fetch.NewTraceCache) take.
+var oracleEngines = []namedEngine{
+	{"seq-n1-perfect", func(src trace.Source) fetch.Engine { return fetch.NewSequentialSource(src, btb.NewPerfect(), 1) }},
+	{"seq-n4-2level", func(src trace.Source) fetch.Engine { return fetch.NewSequentialSource(src, twoLevel(), 4) }},
+	{"seq-unlimited-perfect", func(src trace.Source) fetch.Engine { return fetch.NewSequentialSource(src, btb.NewPerfect(), -1) }},
+	{"tracecache-2level", func(src trace.Source) fetch.Engine {
+		return fetch.NewTraceCacheSource(src, twoLevel(), fetch.DefaultTCConfig())
+	}},
+	{"collapsing-2level", func(src trace.Source) fetch.Engine { return fetch.NewCollapsingBufferSource(src, twoLevel()) }},
 }
+
+func twoLevel() btb.Predictor { return btb.NewTwoLevel(btb.DefaultTwoLevelConfig()) }
 
 // TestRunMatchesOracle requires the one-pass engine to reproduce the
 // cycle-stepped oracle on every workload, under five fetch engines, four
@@ -534,10 +546,10 @@ func TestRunMatchesOracle(t *testing.T) {
 		recs := workload.MustTrace(name, 1, n)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			for _, e := range oracleEngines(recs) {
+			for _, e := range oracleEngines {
 				for mode := noVP; mode < numVPModes; mode++ {
 					for _, cfg := range cfgs {
-						compare(t, name+"/"+e.name, recs, e.new, cfg, mode)
+						compare(t, name, recs, e, cfg, mode)
 					}
 				}
 			}
@@ -578,8 +590,7 @@ func FuzzRunMatchesOracle(f *testing.F) {
 			HoldUntilCommit:   mode&1 != 0,
 			IncludeMemoryDeps: mode&2 == 0,
 		}
-		engines := oracleEngines(recs)
-		e := engines[int(mode>>4)%len(engines)]
-		compare(t, "fuzz/"+e.name, recs, e.new, cfg, vpMode(mode>>2%4))
+		e := oracleEngines[int(mode>>4)%len(oracleEngines)]
+		compare(t, "fuzz", recs, e, cfg, vpMode(mode>>2%4))
 	})
 }

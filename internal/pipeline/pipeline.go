@@ -357,36 +357,23 @@ func Run(eng fetch.Engine, cfg Config) (Result, error) {
 // fetches the next min(free window slots, Width) records of src, so no
 // branch ever stalls fetch and no group ends early. This is the paper's
 // Section 3 ideal machine. It counts no stall cycles and leaves
-// Result.Fetch zero; BranchPenalty has nothing to act on.
+// Result.Fetch zero; BranchPenalty has nothing to act on. It reads the
+// groups of a trace.Viewer in place and those of a bare Source into a
+// pooled buffer.
 func RunPerfectFetch(src trace.Source, cfg Config) (Result, error) {
 	var m machine
 	if err := m.start(cfg); err != nil {
 		return Result{}, err
 	}
 	defer putScratch(m.s)
-	// A slice-backed source hands out zero-copy views of its records;
-	// any other is read into the scratch's group buffer.
-	var flat []trace.Rec
-	ss, isFlat := src.(*trace.SliceSource)
-	if isFlat {
-		flat = ss.Recs()
-	}
+	view, viewing := src.(trace.Viewer)
 	for {
 		if space := min(cfg.WindowSize-m.clk.inflight, cfg.Width); space > 0 {
 			var g []trace.Rec
-			if isFlat {
-				n := min(space, len(flat))
-				g, flat = flat[:n:n], flat[n:]
+			if viewing {
+				g = m.viewGroup(view, space)
 			} else {
-				g = m.s.group[:0]
-				for len(g) < space {
-					rec, ok := src.Next()
-					if !ok {
-						break
-					}
-					g = append(g, rec)
-				}
-				m.s.group = g
+				g = m.readGroup(src, space)
 			}
 			if len(g) == 0 {
 				break
@@ -398,6 +385,42 @@ func RunPerfectFetch(src trace.Source, cfg Config) (Result, error) {
 		m.clk.tick()
 	}
 	return m.finish()
+}
+
+// viewGroup returns v's next up to n records as v lends them, in place,
+// except a group that straddles two of v's chunks: a short view is copied
+// into the scratch's group buffer before the next View can decode over it
+// or release it, and the group is assembled there.
+func (m *machine) viewGroup(v trace.Viewer, n int) []trace.Rec {
+	g := v.View(n)
+	if len(g) == n || len(g) == 0 {
+		return g
+	}
+	buf := append(m.s.group[:0], g...)
+	for len(buf) < n {
+		more := v.View(n - len(buf))
+		if len(more) == 0 {
+			break
+		}
+		buf = append(buf, more...)
+	}
+	m.s.group = buf
+	return buf
+}
+
+// readGroup reads src's next up to n records into the scratch's group
+// buffer, one Next at a time.
+func (m *machine) readGroup(src trace.Source, n int) []trace.Rec {
+	g := m.s.group[:0]
+	for len(g) < n {
+		rec, ok := src.Next()
+		if !ok {
+			break
+		}
+		g = append(g, rec)
+	}
+	m.s.group = g
+	return g
 }
 
 // ingest fetches one group in cycle m.clk.now: it takes the group's

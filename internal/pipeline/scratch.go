@@ -11,18 +11,20 @@ import (
 // Section 5 machines alike. Run and RunPerfectFetch keep their register
 // producers in an array and hold no window, so the only per-run state they
 // reuse is the store-address map, the clock ring's backing array, the
-// network lookup buffer and the group buffer RunPerfectFetch reads a
-// non-slice source into. They come from a process-wide sync.Pool, which
-// caches per-P (effectively per plan worker), so a worker reuses a warmed
-// map cell after cell: building the map fresh in every run raised the
-// sec3 benchmark's peak RSS from about 41 to about 52 MB. A scratch is
+// network lookup buffer and RunPerfectFetch's group buffer, which holds
+// only the groups of a bare Source and those that straddle two chunks of
+// a viewing one (every other group is read in place). They come from a
+// process-wide sync.Pool, which caches per-P (effectively per plan
+// worker), so a worker reuses a warmed map cell after cell: building the
+// map fresh in every run raised the sec3 benchmark's peak RSS from about
+// 41 to about 52 MB. A scratch is
 // fully reset at acquisition (map cleared, ring zeroed, buffers truncated,
 // capacity kept) and owned by one run until the matching Put.
 type scratch struct {
 	stores map[uint64]uint64 // store address → execute cycle of its latest store
 	ring   []slot            // backing array of the run's clock ring
 	pcs    []uint64          // ingest's per-group network lookup buffer
-	group  []trace.Rec       // RunPerfectFetch's fetch group from a non-slice source
+	group  []trace.Rec       // RunPerfectFetch's group from a bare Source, or straddling two chunks
 }
 
 var scratchPool = sync.Pool{New: func() any {

@@ -100,18 +100,11 @@ func (tw *Writer) Reset(w io.Writer) {
 	tw.n = 0
 }
 
-// ByteSource is the input a Reader decodes from: varint decoding needs
-// byte-at-a-time reads, and the magic check needs bulk reads. *bufio.Reader
-// and *bytes.Reader both qualify, which lets callers decoding from memory
-// (internal/chunk) avoid interposing a buffered reader per block.
-type ByteSource interface {
-	io.Reader
-	io.ByteReader
-}
-
-// Reader decodes the binary trace format and implements Source.
+// Reader decodes the binary trace format from an io.Reader and implements
+// Source. It decodes each record in place in its buffered reader's window
+// with the same function that DecodeBlock uses on a byte slice.
 type Reader struct {
-	r      ByteSource
+	r      *bufio.Reader
 	seq    uint64
 	lastPC uint64
 	header bool
@@ -123,25 +116,6 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: bufio.NewReaderSize(r, 1<<16)}
 }
 
-// NewReaderAt is NewReader for a stream that is a suffix of a larger
-// logical trace: decoded records are numbered from firstSeq instead of 0.
-// internal/chunk stores each chunk as an independent stream and restores
-// global Seq numbering with this.
-func NewReaderAt(r ByteSource, firstSeq uint64) *Reader {
-	return &Reader{r: r, seq: firstSeq}
-}
-
-// Reset repoints the Reader at a fresh stream, numbering its records from
-// firstSeq, without allocating. The stream must carry its own magic header
-// (every chunk written via Writer.Reset does).
-func (tr *Reader) Reset(r ByteSource, firstSeq uint64) {
-	tr.r = r
-	tr.seq = firstSeq
-	tr.lastPC = 0
-	tr.header = false
-	tr.err = nil
-}
-
 // Err returns the first decoding error other than a clean end of trace.
 func (tr *Reader) Err() error { return tr.err }
 
@@ -151,60 +125,135 @@ func (tr *Reader) Next() (Rec, bool) {
 		return Rec{}, false
 	}
 	if !tr.header {
-		var m [4]byte
-		if _, err := io.ReadFull(tr.r, m[:]); err != nil {
-			if !errors.Is(err, io.EOF) {
-				tr.err = err
-			}
+		b, err := tr.r.Peek(len(magic))
+		n, herr := header(b)
+		if n == 0 {
+			tr.fail(err, herr)
 			return Rec{}, false
 		}
-		if m != magic {
-			tr.err = fmt.Errorf("trace: bad magic %q", m[:])
-			return Rec{}, false
-		}
+		_, _ = tr.r.Discard(n) // cannot fail: the n bytes were just peeked
 		tr.header = true
 	}
-	dpc, err := binary.ReadVarint(tr.r)
-	if err != nil {
-		if !errors.Is(err, io.EOF) {
-			tr.err = err
-		}
-		return Rec{}, false
-	}
+	// Peek returns fewer than maxRecLen bytes only with an error, usually
+	// io.EOF at the end of the stream.
+	b, err := tr.r.Peek(maxRecLen)
 	var r Rec
-	r.Seq = tr.seq
-	r.PC = uint64(int64(tr.lastPC) + dpc)
+	n, derr := decodeRec(&r, b, tr.seq, tr.lastPC)
+	if n == 0 {
+		tr.fail(err, derr)
+		return Rec{}, false
+	}
+	_, _ = tr.r.Discard(n) // cannot fail: the n bytes were just peeked
 	tr.lastPC = r.PC
-	head, err := binary.ReadUvarint(tr.r)
-	if err != nil {
-		tr.err = fmt.Errorf("trace: truncated record %d: %w", tr.seq, err)
-		return Rec{}, false
-	}
-	r.Op = isa.Opcode(head & 0xff)
-	r.Rd = isa.Reg(head >> 8 & 0xff)
-	r.Rs1 = isa.Reg(head >> 16 & 0xff)
-	r.Rs2 = isa.Reg(head >> 24 & 0xff)
-	r.Taken = head>>32&1 != 0
-	if r.Imm, err = binary.ReadVarint(tr.r); err != nil {
-		tr.err = fmt.Errorf("trace: truncated record %d: %w", tr.seq, err)
-		return Rec{}, false
-	}
-	if r.Val, err = binary.ReadUvarint(tr.r); err != nil {
-		tr.err = fmt.Errorf("trace: truncated record %d: %w", tr.seq, err)
-		return Rec{}, false
-	}
-	if r.Addr, err = binary.ReadUvarint(tr.r); err != nil {
-		tr.err = fmt.Errorf("trace: truncated record %d: %w", tr.seq, err)
-		return Rec{}, false
-	}
-	if r.Op.IsControl() {
-		if r.Target, err = binary.ReadUvarint(tr.r); err != nil {
-			tr.err = fmt.Errorf("trace: truncated record %d: %w", tr.seq, err)
-			return Rec{}, false
-		}
-	} else {
-		r.Target = r.PC + isa.InstBytes
-	}
 	tr.seq++
 	return r, true
+}
+
+// fail records why the stream stopped: the read error that cut its bytes
+// short if there was one, else the decoding error. A clean end of stream
+// records nothing.
+func (tr *Reader) fail(read, decode error) {
+	if read != nil && !errors.Is(read, io.EOF) {
+		tr.err = read
+	} else {
+		tr.err = decode
+	}
+}
+
+// maxRecLen bounds one encoded record: at most six varint fields.
+const maxRecLen = 6 * binary.MaxVarintLen64
+
+// header returns how many bytes the magic header at the front of b takes:
+// 0 for empty input (an empty stream), an error for a bad magic.
+func header(b []byte) (int, error) {
+	if len(b) == 0 {
+		return 0, nil
+	}
+	if len(b) < len(magic) || [4]byte(b[:len(magic)]) != magic {
+		return 0, fmt.Errorf("trace: bad magic %q", b[:min(len(b), len(magic))])
+	}
+	return len(magic), nil
+}
+
+// DecodeBlock appends to dst the records of data, a self-contained stream
+// in the binary trace format, numbering them from firstSeq. Empty data is
+// an empty stream. On an error it returns the records decoded before it.
+// internal/chunk decodes each chunk with it.
+func DecodeBlock(dst []Rec, data []byte, firstSeq uint64) ([]Rec, error) {
+	i, err := header(data)
+	if err != nil {
+		return dst, err
+	}
+	seq, lastPC := firstSeq, uint64(0)
+	for i < len(data) {
+		dst = append(dst, Rec{})
+		r := &dst[len(dst)-1]
+		n, err := decodeRec(r, data[i:], seq, lastPC)
+		if err != nil {
+			return dst[:len(dst)-1], err
+		}
+		i += n
+		lastPC = r.PC
+		seq++
+	}
+	return dst, nil
+}
+
+// decodeRec decodes the record at the front of b into r, numbering it seq
+// and reading its PC as a delta from lastPC, and returns the bytes it
+// took: 0 for empty b, the end of the stream. It reads each varint by
+// index; a field that b cuts short or that overflows 64 bits is an error.
+// This is the format's only record decoder.
+func decodeRec(r *Rec, b []byte, seq, lastPC uint64) (int, error) {
+	dpc, i := binary.Varint(b)
+	if i <= 0 {
+		if len(b) == 0 {
+			return 0, nil
+		}
+		return 0, fieldErr(b, i, seq)
+	}
+	head, n := binary.Uvarint(b[i:])
+	if n <= 0 {
+		return 0, fieldErr(b[i:], n, seq)
+	}
+	i += n
+	imm, n := binary.Varint(b[i:])
+	if n <= 0 {
+		return 0, fieldErr(b[i:], n, seq)
+	}
+	i += n
+	val, n := binary.Uvarint(b[i:])
+	if n <= 0 {
+		return 0, fieldErr(b[i:], n, seq)
+	}
+	i += n
+	addr, n := binary.Uvarint(b[i:])
+	if n <= 0 {
+		return 0, fieldErr(b[i:], n, seq)
+	}
+	i += n
+	op := isa.Opcode(head & 0xff)
+	pc := uint64(int64(lastPC) + dpc)
+	target := pc + isa.InstBytes
+	if op.IsControl() {
+		if target, n = binary.Uvarint(b[i:]); n <= 0 {
+			return 0, fieldErr(b[i:], n, seq)
+		}
+		i += n
+	}
+	*r = Rec{
+		Seq: seq, PC: pc, Op: op,
+		Rd: isa.Reg(head >> 8 & 0xff), Rs1: isa.Reg(head >> 16 & 0xff), Rs2: isa.Reg(head >> 24 & 0xff),
+		Imm: imm, Val: val, Addr: addr, Taken: head>>32&1 != 0, Target: target,
+	}
+	return i, nil
+}
+
+// fieldErr names why a varint read of b returned n <= 0: b cuts the field
+// short, or the field runs past MaxVarintLen64 bytes or 64 bits.
+func fieldErr(b []byte, n int, seq uint64) error {
+	if n == 0 && len(b) < binary.MaxVarintLen64 {
+		return fmt.Errorf("trace: truncated record %d: %w", seq, io.ErrUnexpectedEOF)
+	}
+	return fmt.Errorf("trace: record %d: varint overflows 64 bits", seq)
 }

@@ -65,6 +65,19 @@ type Source interface {
 	Next() (rec Rec, ok bool)
 }
 
+// Viewer is a Source that can lend its records in place instead of
+// copying them out one by one. *SliceSource and the chunk cursor
+// (internal/chunk) are Viewers; RunPerfectFetch (internal/pipeline) and
+// the fetch engines' streaming window read them through View.
+type Viewer interface {
+	Source
+	// View returns and consumes up to n next records as a read-only,
+	// capacity-capped view, valid until the next call on the source. It
+	// returns fewer than n records only at a chunk boundary or at the end
+	// of the trace, and none only at the end.
+	View(n int) []Rec
+}
+
 // SliceSource streams an in-memory trace. It is the replayable form used by
 // experiments that must run the same trace through several machine
 // configurations.
@@ -84,6 +97,15 @@ func (s *SliceSource) Next() (Rec, bool) {
 	r := s.recs[s.pos]
 	s.pos++
 	return r, true
+}
+
+// View implements Viewer. The view aliases the source's backing slice, as
+// Recs does, so it stays valid as long as that slice does.
+func (s *SliceSource) View(n int) []Rec {
+	n = min(max(n, 0), len(s.recs)-s.pos)
+	v := s.recs[s.pos : s.pos+n : s.pos+n]
+	s.pos += n
+	return v
 }
 
 // Reset rewinds the source to the beginning of the trace.

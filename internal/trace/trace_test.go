@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -72,6 +73,19 @@ func TestSliceSource(t *testing.T) {
 	src.Reset()
 	if r, ok := src.Next(); !ok || r.Seq != 0 {
 		t.Error("Reset did not rewind")
+	}
+	// View lends what is left after that Next, capacity-capped, and is
+	// empty at the end.
+	for _, want := range [][]uint64{{1, 2, 3, 4}, {5}, nil} {
+		v := src.View(4)
+		if len(v) != len(want) || cap(v) != len(v) {
+			t.Fatalf("View(4) = len %d cap %d, want len %d", len(v), cap(v), len(want))
+		}
+		for i, r := range v {
+			if r.Seq != want[i] {
+				t.Fatalf("View(4)[%d].Seq = %d, want %d", i, r.Seq, want[i])
+			}
+		}
 	}
 }
 
@@ -186,22 +200,40 @@ func TestCodecBadMagic(t *testing.T) {
 }
 
 func TestCodecTruncated(t *testing.T) {
+	recs := sampleRecs()
+	// ends[j] is the encoded length of recs[:j]: the header, then j records.
+	var ends []int
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, r := range sampleRecs() {
-		if err := w.Write(r); err != nil {
+	for j := 0; j <= len(recs); j++ {
+		buf.Reset()
+		w := NewWriter(&buf)
+		for _, r := range recs[:j] {
+			if err := w.Write(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
+		ends = append(ends, max(buf.Len(), len(magic)))
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Chop mid-record: the reader must flag an error, not loop or panic.
-	cut := buf.Bytes()[:buf.Len()-3]
-	r := NewReader(bytes.NewReader(cut))
-	Collect(r, 0)
-	if r.Err() == nil {
-		t.Error("truncated stream produced no error")
+	full := buf.Bytes()
+	// Chop anywhere past the header: the reader must serve exactly the
+	// records the cut leaves whole, and flag an error unless the cut falls
+	// between records, never loop or panic.
+	for cut := len(magic); cut < len(full); cut++ {
+		r := NewReader(bytes.NewReader(full[:cut]))
+		got := Collect(r, 0)
+		whole := 0
+		for whole < len(recs) && ends[whole+1] <= cut {
+			whole++
+		}
+		if !slices.Equal(got, recs[:whole]) {
+			t.Errorf("cut at %d: served %d records, want the %d whole ones", cut, len(got), whole)
+		}
+		if atEnd := cut == ends[whole]; (r.Err() == nil) != atEnd {
+			t.Errorf("cut at %d: err = %v, want an error only mid-record", cut, r.Err())
+		}
 	}
 }
 

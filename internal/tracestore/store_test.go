@@ -371,22 +371,29 @@ func TestConcurrentMixedKeys(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	// Cached traces must be bit-identical to freshly generated ones, and a
-	// prefix of a longer run must equal a run of exactly that length.
+	// Cached traces of every workload must be bit-identical to freshly
+	// generated ones, and a prefix of a longer run must equal a run of
+	// exactly that length.
 	const n = 2_000
-	fresh, err := workload.Trace("compress95", 1, n)
-	if err != nil {
-		t.Fatal(err)
+	fresh := make(map[string][]trace.Rec)
+	for _, name := range workload.Names() {
+		recs, err := workload.Trace(name, 1, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[name] = recs
 	}
 	forEachRep(t, func(t *testing.T, r rep) {
 		s := New(0)
-		cached := r.mustGet(t, s, "compress95", 1, n)
-		if !reflect.DeepEqual(cached, fresh) {
-			t.Error("cached trace differs from a fresh emulator run")
-		}
-		longer := r.mustGet(t, s, "compress95", 1, 2*n)
-		if !reflect.DeepEqual(longer[:n], fresh) {
-			t.Error("prefix of a longer trace differs from a run of that length")
+		for _, name := range workload.Names() {
+			cached := r.mustGet(t, s, name, 1, n)
+			if !reflect.DeepEqual(cached, fresh[name]) {
+				t.Errorf("%s: cached trace differs from a fresh emulator run", name)
+			}
+			longer := r.mustGet(t, s, name, 1, 2*n)
+			if !reflect.DeepEqual(longer[:n], fresh[name]) {
+				t.Errorf("%s: prefix of a longer trace differs from a run of that length", name)
+			}
 		}
 	})
 }
