@@ -25,6 +25,13 @@
 // such entry — so a parallel slowdown fails make bench and CI instead of
 // sitting unnoticed in a committed report.
 //
+// The report also derives stream_over_flat: the ns/op of the streamed
+// fig3.1 sweep on one worker (BenchmarkFig31Stream/workers=1) over that of
+// the same sweep from flat traces (BenchmarkFig31Workers/workers=1), the
+// price of reading traces from compressed chunks. Like the speedups it is
+// a ratio, so any machine can check it; -gate fails a run whose ratio is
+// above maxStreamOverFlat.
+//
 // -baseline FILE additionally gates against a committed report: every
 // workers_speedup entry present in both must reach the baseline's speedup
 // ratio minus a 10% tolerance. Ratios — not raw ns/op — are compared,
@@ -98,7 +105,24 @@ type Report struct {
 	GOARCH         string    `json:"goarch"`
 	Benchmarks     []Bench   `json:"benchmarks"`
 	WorkersSpeedup []Speedup `json:"workers_speedup,omitempty"`
+	// StreamOverFlat is streamBench's ns/op over flatBench's; 0 when the
+	// run lacks either.
+	StreamOverFlat float64 `json:"stream_over_flat,omitempty"`
 }
+
+// streamBench and flatBench are the two sides of stream_over_flat: one
+// fig3.1 sweep on one worker, from compressed chunks and from flat traces.
+const (
+	streamBench = "BenchmarkFig31Stream/workers=1"
+	flatBench   = "BenchmarkFig31Workers/workers=1"
+)
+
+// maxStreamOverFlat is the highest stream_over_flat -gate accepts. Reading
+// chunks in place brought the ratio from 3.2 to 1.77 on a 2-vCPU machine
+// (BENCH_pr20.json); 2.5 fails a return of per-record decoding or copying
+// without tripping on noise. Decoding each trace once per sweep instead
+// of once per cell is what would bring it near 1.
+const maxStreamOverFlat = 2.5
 
 func main() {
 	out := flag.String("o", "", "write the JSON report to this file (default stdout only)")
@@ -213,6 +237,7 @@ func run(in io.Reader, echo io.Writer, outPath string, gate bool, baseline, memb
 		return fmt.Errorf("no benchmark lines found in input")
 	}
 	rep.WorkersSpeedup = deriveSpeedups(rep.Benchmarks)
+	rep.StreamOverFlat = deriveStreamOverFlat(rep.Benchmarks)
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
@@ -231,6 +256,10 @@ func run(in io.Reader, echo io.Writer, outPath string, gate bool, baseline, memb
 				return fmt.Errorf("parallel regression: %s %s is %.2fx vs serial (below the %.2f floor)",
 					s.Benchmark, s.ParallelName, s.Speedup, regressionFloor)
 			}
+		}
+		if rep.StreamOverFlat > maxStreamOverFlat {
+			return fmt.Errorf("streaming regression: %s takes %.2fx the ns/op of %s, above the %.2f ceiling",
+				streamBench, rep.StreamOverFlat, flatBench, maxStreamOverFlat)
 		}
 	}
 	if baseline != "" {
@@ -278,6 +307,24 @@ func deriveSpeedups(benches []Bench) []Speedup {
 		})
 	}
 	return out
+}
+
+// deriveStreamOverFlat returns streamBench's ns/op over flatBench's, or 0
+// when either is missing.
+func deriveStreamOverFlat(benches []Bench) float64 {
+	var stream, flat float64
+	for _, b := range benches {
+		switch b.Name {
+		case streamBench:
+			stream = b.NsPerOp
+		case flatBench:
+			flat = b.NsPerOp
+		}
+	}
+	if stream == 0 || flat == 0 {
+		return 0
+	}
+	return stream / flat
 }
 
 // parseLine parses one `go test -bench` result line. Lines that are not

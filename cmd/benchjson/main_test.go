@@ -154,6 +154,52 @@ func TestDeriveSpeedups(t *testing.T) {
 	}
 }
 
+func TestStreamOverFlat(t *testing.T) {
+	sampleAt := func(streamNs string) string {
+		return "BenchmarkFig31Workers/workers=1-2 \t 3\t 250000000 ns/op\n" +
+			"BenchmarkFig31Workers/workers=max-2 \t 3\t 150000000 ns/op\n" +
+			"BenchmarkFig31Stream/workers=1-2 \t 3\t " + streamNs + " ns/op\n" +
+			"BenchmarkFig31Stream/workers=max-2 \t 3\t 300000000 ns/op\nPASS\n"
+	}
+	path := filepath.Join(t.TempDir(), "bench.json")
+	var echo strings.Builder
+	if err := run(strings.NewReader(sampleAt("475000000")), &echo, path, true, "", ""); err != nil {
+		t.Fatalf("gate rejected a 1.9x streamed sweep: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.StreamOverFlat != 1.9 {
+		t.Errorf("stream_over_flat = %v, want 1.9 (workers=1 over workers=1, not workers=max)", rep.StreamOverFlat)
+	}
+	// Above the ceiling the report is recorded, and -gate fails.
+	if err := run(strings.NewReader(sampleAt("800000000")), &echo, path, false, "", ""); err != nil {
+		t.Fatalf("a 3.2x streamed sweep failed without -gate: %v", err)
+	}
+	err = run(strings.NewReader(sampleAt("800000000")), &echo, path, true, "", "")
+	if err == nil || !strings.Contains(err.Error(), "3.20x") {
+		t.Fatalf("gate did not reject a 3.2x streamed sweep: %v", err)
+	}
+	// A run without both sides derives nothing and gates nothing.
+	if got := deriveStreamOverFlat([]Bench{{Name: streamBench, NsPerOp: 9}}); got != 0 {
+		t.Errorf("stream_over_flat without the flat side = %v, want 0", got)
+	}
+	if err := run(strings.NewReader(sample), &echo, path, true, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "stream_over_flat") {
+		t.Errorf("report without a streamed sweep carries stream_over_flat:\n%s", data)
+	}
+}
+
 func TestGateMemBudget(t *testing.T) {
 	benches := []Bench{
 		{Name: "BenchmarkFig31Stream/workers=1", NsPerOp: 1, Metrics: map[string]float64{"B/op": 600_000}},
