@@ -74,7 +74,7 @@ type Viewer interface {
 	// View returns and consumes up to n next records as a read-only,
 	// capacity-capped view, valid until the next call on the source. It
 	// returns fewer than n records only at a chunk boundary or at the end
-	// of the trace, and none only at the end.
+	// of the trace, so for n > 0 an empty view means the end.
 	View(n int) []Rec
 }
 
