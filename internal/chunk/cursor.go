@@ -67,6 +67,8 @@ func (c *Cursor) Next() (trace.Rec, bool) {
 	return r, true
 }
 
+var _ trace.Viewer = (*Cursor)(nil)
+
 // View implements trace.Viewer: it lends up to n next records of the
 // current decoded chunk in place. The view is valid until the next call
 // on the cursor, which may decode the next block over it or, at the end

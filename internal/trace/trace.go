@@ -99,6 +99,8 @@ func (s *SliceSource) Next() (Rec, bool) {
 	return r, true
 }
 
+var _ Viewer = (*SliceSource)(nil)
+
 // View implements Viewer. The view aliases the source's backing slice, as
 // Recs does, so it stays valid as long as that slice does.
 func (s *SliceSource) View(n int) []Rec {
