@@ -51,18 +51,18 @@ vpbench-test:
 # bench runs every benchmark and writes the parsed report — ns/op, the
 # simulated-instructions-per-second metric each benchmark reports, the
 # derived workers=1 vs workers=max speedup of the execution engine and the
-# streamed-over-flat fig3.1 ratio — to BENCH_pr20.json via cmd/benchjson
-# (BENCH_pr3.json, BENCH_pr5.json, BENCH_pr6.json, BENCH_pr9.json and
-# BENCH_pr16.json are the committed earlier reports; bench-gate reads
+# streamed-over-flat fig3.1 ratio — to BENCH_pr21.json via cmd/benchjson
+# (BENCH_pr3.json, BENCH_pr5.json, BENCH_pr6.json, BENCH_pr9.json,
+# BENCH_pr16.json and BENCH_pr20.json are the committed earlier reports; bench-gate reads
 # BENCH_pr9.json as its baseline, so bench never overwrites the
 # regression reference). The raw `go test -bench` text still reaches the
 # terminal. -gate makes the run fail outright if any parallel sweep is
 # slower than its serial baseline beyond benchjson's noise floor, so a
 # workers regression like PR 5's 0.92× can no longer land silently in a
-# committed report, or if the streamed sweep costs more than 2.5× the
+# committed report, or if the streamed sweep costs more than 1.5× the
 # flat one.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchmem . | $(GO) run ./cmd/benchjson -gate -o BENCH_pr20.json
+	$(GO) test -run='^$$' -bench=. -benchmem . | $(GO) run ./cmd/benchjson -gate -o BENCH_pr21.json
 
 # STREAM_MEM_BUDGET caps allocated bytes per streamed fig3.1 sweep
 # (BenchmarkFig31Stream, 8 workloads × 100k instructions, 80 cells). The
@@ -76,7 +76,7 @@ STREAM_MEM_BUDGET = BenchmarkFig31Stream=4000000
 # one iteration each, piped through benchjson — fails on any
 # workers_speedup regression (slower than serial beyond the
 # measurement-noise floor), on a speedup more than 10% below the committed
-# BENCH_pr9.json baseline, on the streamed sweep costing more than 2.5×
+# BENCH_pr9.json baseline, on the streamed sweep costing more than 1.5×
 # the flat one on one worker (stream_over_flat), or on the streamed sweep
 # allocating past the absolute memory budget above.
 bench-gate:

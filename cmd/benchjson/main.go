@@ -119,10 +119,10 @@ const (
 
 // maxStreamOverFlat is the highest stream_over_flat -gate accepts. Reading
 // chunks in place brought the ratio from 3.2 to 1.77 on a 2-vCPU machine
-// (BENCH_pr20.json); 2.5 fails a return of per-record decoding or copying
-// without tripping on noise. Decoding each trace once per sweep instead
-// of once per cell is what would bring it near 1.
-const maxStreamOverFlat = 2.5
+// (BENCH_pr20.json), and decoding each trace once per sweep instead of
+// once per cell brought it near 1 (BENCH_pr21.json); 1.5 fails a return
+// to one decode per cell without tripping on noise.
+const maxStreamOverFlat = 1.5
 
 func main() {
 	out := flag.String("o", "", "write the JSON report to this file (default stdout only)")

@@ -63,20 +63,23 @@ func DefaultTwoLevelConfig() TwoLevelConfig {
 
 type btbEntry struct {
 	valid   bool
-	tag     uint64
 	history uint8
-	pattern []uint8 // 2-bit counters, indexed by history
+	tag     uint64
 	target  uint64
 	lru     uint64
 }
 
-// TwoLevel is the 2-level PAp BTB.
+// TwoLevel is the 2-level PAp BTB. It keeps its entries and their pattern
+// tables in two flat arrays: set s is entries [s*Ways, (s+1)*Ways), and
+// entry e's 2-bit counters are counters [e<<HistoryBits, (e+1)<<HistoryBits),
+// indexed by its history.
 type TwoLevel struct {
-	cfg     TwoLevelConfig
-	sets    [][]btbEntry
-	setMask uint64
-	histMax uint8
-	tick    uint64
+	cfg      TwoLevelConfig
+	entries  []btbEntry
+	counters []uint8
+	setMask  uint64
+	histMax  uint8
+	tick     uint64
 }
 
 // NewTwoLevel returns a PAp BTB with the given configuration.
@@ -90,69 +93,73 @@ func NewTwoLevel(cfg TwoLevelConfig) *TwoLevel {
 	if cfg.HistoryBits < 1 || cfg.HistoryBits > 8 {
 		panic("btb: HistoryBits out of range")
 	}
-	numSets := cfg.Entries / cfg.Ways
-	sets := make([][]btbEntry, numSets)
-	for i := range sets {
-		sets[i] = make([]btbEntry, cfg.Ways)
-	}
 	return &TwoLevel{
-		cfg:     cfg,
-		sets:    sets,
-		setMask: uint64(numSets - 1),
-		histMax: uint8(1<<cfg.HistoryBits - 1),
+		cfg:      cfg,
+		entries:  make([]btbEntry, cfg.Entries),
+		counters: make([]uint8, cfg.Entries<<cfg.HistoryBits),
+		setMask:  uint64(cfg.Entries/cfg.Ways - 1),
+		histMax:  uint8(1<<cfg.HistoryBits - 1),
 	}
 }
 
 // Name implements Predictor.
 func (t *TwoLevel) Name() string { return "2level-btb" }
 
-func (t *TwoLevel) find(pc uint64) *btbEntry {
-	set := t.sets[(pc>>2)&t.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == pc {
-			return &set[i]
+// set returns the index of pc's set's first entry.
+func (t *TwoLevel) set(pc uint64) int { return int((pc>>2)&t.setMask) * t.cfg.Ways }
+
+// find returns the index of pc's entry, or -1 on a miss.
+func (t *TwoLevel) find(pc uint64) int {
+	first := t.set(pc)
+	for i := first; i < first+t.cfg.Ways; i++ {
+		if t.entries[i].valid && t.entries[i].tag == pc {
+			return i
 		}
 	}
-	return nil
+	return -1
+}
+
+// counter returns the pattern counter entry i's history selects.
+func (t *TwoLevel) counter(i int) *uint8 {
+	return &t.counters[i<<t.cfg.HistoryBits|int(t.entries[i].history)]
 }
 
 // Predict implements Predictor. A BTB miss predicts not-taken with no
 // target.
 func (t *TwoLevel) Predict(pc uint64, _ bool, _ uint64) Prediction {
-	e := t.find(pc)
-	if e == nil {
+	i := t.find(pc)
+	if i < 0 {
 		return Prediction{}
 	}
-	taken := e.pattern[e.history] >= 2
-	return Prediction{Taken: taken, Target: e.target, TargetValid: true}
+	return Prediction{Taken: *t.counter(i) >= 2, Target: t.entries[i].target, TargetValid: true}
 }
 
 // Update implements Predictor: it trains the pattern counter selected by
 // the branch's history, shifts the history, and records the taken target.
-// A miss allocates an entry, evicting the LRU way.
+// A miss allocates an entry, evicting the set's first invalid way or else
+// its LRU way, with every counter weakly not-taken.
 func (t *TwoLevel) Update(pc uint64, taken bool, target uint64) {
 	t.tick++
-	e := t.find(pc)
-	if e == nil {
-		set := t.sets[(pc>>2)&t.setMask]
-		victim := &set[0]
-		for i := range set {
-			if !set[i].valid {
-				victim = &set[i]
+	i := t.find(pc)
+	if i < 0 {
+		first := t.set(pc)
+		i = first
+		for w := first; w < first+t.cfg.Ways; w++ {
+			if !t.entries[w].valid {
+				i = w
 				break
 			}
-			if set[i].lru < victim.lru {
-				victim = &set[i]
+			if t.entries[w].lru < t.entries[i].lru {
+				i = w
 			}
 		}
-		pattern := make([]uint8, int(t.histMax)+1)
-		for i := range pattern {
-			pattern[i] = 1 // weakly not-taken
+		t.entries[i] = btbEntry{valid: true, tag: pc}
+		pattern := t.counters[i<<t.cfg.HistoryBits : (i+1)<<t.cfg.HistoryBits]
+		for j := range pattern {
+			pattern[j] = 1 // weakly not-taken
 		}
-		*victim = btbEntry{valid: true, tag: pc, pattern: pattern}
-		e = victim
 	}
-	c := &e.pattern[e.history]
+	c := t.counter(i)
 	if taken {
 		if *c < 3 {
 			*c++
@@ -160,6 +167,7 @@ func (t *TwoLevel) Update(pc uint64, taken bool, target uint64) {
 	} else if *c > 0 {
 		*c--
 	}
+	e := &t.entries[i]
 	e.history = (e.history<<1 | boolBit(taken)) & t.histMax
 	if taken {
 		e.target = target

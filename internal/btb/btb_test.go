@@ -1,6 +1,7 @@
 package btb
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -120,6 +121,121 @@ func TestTwoLevelEviction(t *testing.T) {
 	for _, pc := range pcs[1:] {
 		if pred := b.Predict(pc, true, 0); !pred.TargetValid || pred.Target != pc+0x100 {
 			t.Errorf("recent entry %#x evicted: %+v", pc, pred)
+		}
+	}
+}
+
+// refTwoLevel is the 2-level BTB as it was stored before its flat layout:
+// one slice per set and a pattern slice per entry, allocated on every
+// miss. TestTwoLevelMatchesReference holds TwoLevel to it.
+type refTwoLevel struct {
+	sets    [][]refEntry
+	setMask uint64
+	histMax uint8
+	tick    uint64
+}
+
+type refEntry struct {
+	valid   bool
+	tag     uint64
+	history uint8
+	pattern []uint8
+	target  uint64
+	lru     uint64
+}
+
+func newRefTwoLevel(cfg TwoLevelConfig) *refTwoLevel {
+	sets := make([][]refEntry, cfg.Entries/cfg.Ways)
+	for i := range sets {
+		sets[i] = make([]refEntry, cfg.Ways)
+	}
+	return &refTwoLevel{sets: sets, setMask: uint64(len(sets) - 1), histMax: uint8(1<<cfg.HistoryBits - 1)}
+}
+
+func (t *refTwoLevel) find(pc uint64) *refEntry {
+	set := t.sets[(pc>>2)&t.setMask]
+	for i := range set {
+		if set[i].valid && set[i].tag == pc {
+			return &set[i]
+		}
+	}
+	return nil
+}
+
+func (t *refTwoLevel) Predict(pc uint64) Prediction {
+	e := t.find(pc)
+	if e == nil {
+		return Prediction{}
+	}
+	return Prediction{Taken: e.pattern[e.history] >= 2, Target: e.target, TargetValid: true}
+}
+
+func (t *refTwoLevel) Update(pc uint64, taken bool, target uint64) {
+	t.tick++
+	e := t.find(pc)
+	if e == nil {
+		set := t.sets[(pc>>2)&t.setMask]
+		victim := &set[0]
+		for i := range set {
+			if !set[i].valid {
+				victim = &set[i]
+				break
+			}
+			if set[i].lru < victim.lru {
+				victim = &set[i]
+			}
+		}
+		pattern := make([]uint8, int(t.histMax)+1)
+		for i := range pattern {
+			pattern[i] = 1
+		}
+		*victim = refEntry{valid: true, tag: pc, pattern: pattern}
+		e = victim
+	}
+	c := &e.pattern[e.history]
+	if taken {
+		if *c < 3 {
+			*c++
+		}
+	} else if *c > 0 {
+		*c--
+	}
+	e.history = (e.history<<1 | boolBit(taken)) & t.histMax
+	if taken {
+		e.target = target
+	}
+	e.lru = t.tick
+}
+
+// TestTwoLevelMatchesReference runs random branch streams through the flat
+// BTB and the reference layout in the three configurations the experiments
+// use. The branches crowd a few sets with more tags than ways, so entries
+// are evicted and reallocated, and each must predict as the reference
+// does before every update, also for a branch it may have evicted.
+func TestTwoLevelMatchesReference(t *testing.T) {
+	for _, cfg := range []TwoLevelConfig{
+		DefaultTwoLevelConfig(),
+		{Entries: 512, Ways: 2, HistoryBits: 4},
+		{Entries: 8192, Ways: 4, HistoryBits: 6},
+	} {
+		b, ref := NewTwoLevel(cfg), newRefTwoLevel(cfg)
+		sets := uint64(cfg.Entries / cfg.Ways)
+		rng := rand.New(rand.NewPCG(1, uint64(cfg.Entries)))
+		pcOf := func() uint64 {
+			set, tag := rng.Uint64N(6)*(sets/6), rng.Uint64N(uint64(3*cfg.Ways))
+			return (tag*sets + set) << 2
+		}
+		for step := range 200_000 {
+			pc, other := pcOf(), pcOf()
+			taken := rng.Uint64N(3) != 0
+			target := uint64(0x4000 + 4*rng.Uint64N(4))
+			for _, q := range []uint64{pc, other} {
+				if got, want := b.Predict(q, false, 0), ref.Predict(q); got != want {
+					t.Fatalf("%+v step %d: Predict(%#x) = %+v, reference %+v", cfg, step, q, got, want)
+				}
+			}
+			b.Update(pc, taken, target)
+			ref.Update(pc, taken, target)
 		}
 	}
 }

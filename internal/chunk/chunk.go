@@ -22,6 +22,12 @@
 //     the cursor: that call may decode the next block over them or, at
 //     the end of the stream, return the buffer to the pool. A caller that
 //     needs a view longer copies it first.
+//   - Share lends one source's views to several consumers in turn. Each
+//     consumer's views alias the shared block and are valid until that
+//     consumer's next call on its source, as a Cursor's are; Share takes
+//     the source's next view only once every live consumer has asked past
+//     the current one. The consumers take turns on their goroutines, so
+//     no two ever read at once, and none may write through a view.
 //   - A Window owns its buffer and lends callers read-only views of it
 //     (View); a view is valid only until the next Mark, mirroring the
 //     fetch.Group.Recs contract. It copies a viewing source's records

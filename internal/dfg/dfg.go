@@ -185,11 +185,7 @@ func AnalyzeSource(src trace.Source, cfg Config) *Analysis {
 		}
 	}
 
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
+	trace.ForEach(src, func(r *trace.Rec) {
 		a.Insts++
 		// Consume register operands.
 		if r.Op.ReadsRs1() && r.Rs1 != 0 {
@@ -223,6 +219,6 @@ func AnalyzeSource(src trace.Source, cfg Config) *Analysis {
 			stride.Update(r.PC, r.Val)
 			memProducer[r.Addr] = producer{seq: r.Seq, correct: correct, valid: true}
 		}
-	}
+	})
 	return a
 }

@@ -44,8 +44,9 @@ type Params struct {
 	// slice, so a run's peak memory is governed by the chunk pool, not
 	// TraceLen. Tables are byte-identical to the materialized path (pinned
 	// by the root stream tests for every registered experiment at workers
-	// {1, 8}); the trade is CPU (each machine re-decodes its chunks) for
-	// memory, which is what paper-scale TraceLen values need.
+	// {1, 8}). Each workload's trace is decoded once per experiment and
+	// lent to all of its cells in lockstep, so the trade is one decode per
+	// record for memory, which is what paper-scale TraceLen values need.
 	Stream bool
 
 	// ctx carries the run's cancellation signal. It is unexported so that a

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"valuepred/internal/chunk"
 	"valuepred/internal/obs"
 	"valuepred/internal/predictor"
 	"valuepred/internal/trace"
@@ -202,6 +203,52 @@ func TestRunCtxCancellation(t *testing.T) {
 	mcancel()
 	if _, err := RunSeedsCtx(mctx, "fig3.3", p, []int64{1, 2, 3}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunSeedsCtx canceled: err = %v", err)
+	}
+}
+
+// cancelingPredictor is a stride predictor that cancels a run once it has
+// been updated n times, and counts its updates.
+type cancelingPredictor struct {
+	predictor.Predictor
+	n, updates int
+	cancel     context.CancelFunc
+}
+
+func (c *cancelingPredictor) Update(pc, actual uint64) {
+	if c.updates++; c.updates == c.n {
+		c.cancel()
+	}
+	c.Predictor.Update(pc, actual)
+}
+
+// TestStreamedPassCancelsBetweenBlocks cancels a streamed run from inside
+// its pass, while the recorder reads the first decoded block: the recorder
+// must finish that block and see no other, and the run must fail as an
+// aborted run that errors.Is tells apart.
+func TestStreamedPassCancelsBetweenBlocks(t *testing.T) {
+	p := Params{Seed: 1, TraceLen: 3 * chunk.DefaultSize, Workloads: []string{"li"}, Stream: true, Store: tracestore.New(0)}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p.ctx = ctx
+	rec := &cancelingPredictor{Predictor: predictor.NewClassifiedStride(), n: 100, cancel: cancel}
+	d := decl{
+		id:    "cancel",
+		preds: []vpSpec{{"canceling", func(feed) predictor.Predictor { return rec }}},
+		cells: []cell{{"", "vp", idealAt(8).replaying("canceling")}},
+		row:   func(row) []float64 { return nil },
+	}
+	_, err := d.run(p)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "run aborted") {
+		t.Fatalf("err = %v, want an aborted run wrapping context.Canceled", err)
+	}
+	writers := 0
+	for _, r := range workload.MustTrace("li", 1, chunk.DefaultSize) {
+		if r.WritesValue() {
+			writers++
+		}
+	}
+	if rec.updates != writers {
+		t.Fatalf("the recorder made %d updates, want the %d value writers of the first block", rec.updates, writers)
 	}
 }
 

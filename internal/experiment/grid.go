@@ -30,8 +30,13 @@ func (p Params) newGrid(id string) *grid {
 // predictors and machines, read shared traces only): cells execute
 // concurrently in arbitrary order on the shared pool.
 func (g *grid) cell(workload, column, variant string, fn func() (any, error)) {
-	g.pg.Add(plan.Key{Experiment: g.id, Workload: workload, Column: column, Variant: variant, Seed: g.p.Seed},
-		func(context.Context) (any, error) { return fn() })
+	g.pg.Add(g.p.key(g.id, workload, column, variant), func(context.Context) (any, error) { return fn() })
+}
+
+// pass declares one cell that runs a whole workload, keyed by the workload
+// alone. fn gets the run's context.
+func (g *grid) pass(workload string, fn func(context.Context) (any, error)) {
+	g.pg.Add(g.p.key(g.id, workload, "", ""), fn)
 }
 
 // run executes the declared cells on the shared pool and returns the
@@ -46,11 +51,17 @@ func (g *grid) run() (*gridResults, error) {
 		}
 		return nil, err
 	}
-	byKey := make(map[plan.Key]any, len(res))
+	out := g.p.newResults(g.id, len(res))
 	for i, c := range g.pg.Cells() {
-		byKey[c.Key] = res[i]
+		out.byKey[c.Key] = res[i]
 	}
-	return &gridResults{p: g.p, id: g.id, byKey: byKey}, nil
+	return out, nil
+}
+
+// key is the canonical key of experiment id's cell (workload, column,
+// variant) in this run.
+func (p Params) key(id, workload, column, variant string) plan.Key {
+	return plan.Key{Experiment: id, Workload: workload, Column: column, Variant: variant, Seed: p.Seed}
 }
 
 // gridResults holds one grid run's results for keyed lookup. The map is
@@ -62,10 +73,21 @@ type gridResults struct {
 	byKey map[plan.Key]any
 }
 
+// newResults returns an empty result set of experiment id, sized for n
+// results.
+func (p Params) newResults(id string, n int) *gridResults {
+	return &gridResults{p: p, id: id, byKey: make(map[plan.Key]any, n)}
+}
+
 // get returns the result of the cell declared under (workload, column,
 // variant). Asking for an undeclared key panics via the type assertion at
 // the caller, which is the right failure mode for a programming error in
 // a table merge.
 func (r *gridResults) get(workload, column, variant string) any {
-	return r.byKey[plan.Key{Experiment: r.id, Workload: workload, Column: column, Variant: variant, Seed: r.p.Seed}]
+	return r.byKey[r.p.key(r.id, workload, column, variant)]
+}
+
+// put files v as the result of (workload, column, variant).
+func (r *gridResults) put(workload, column, variant string, v any) {
+	r.byKey[r.p.key(r.id, workload, column, variant)] = v
 }

@@ -6,14 +6,20 @@ package experiment
 // one workload's named cells — (column, variant) pairs mapped to
 // comparable machine specs — and a row function over the named results.
 // decl.run executes any of them the same way: fetch the feeds, record the
-// outcome streams, declare every workload's cells as one plan grid, run
-// it, and build the rows, the average row and the notes in presentation
-// order. Apart from table3.2's walk-through, it is the only place that
-// builds a fetch engine, a BTB, a prediction network or a machine
-// configuration.
+// outcome streams and run the cells (over flat feeds one plan cell per
+// key, over streamed ones one plan cell per workload that reads its trace
+// once), and build the rows, the average row and the notes in
+// presentation order. Apart from table3.2's walk-through, it is the only
+// place that builds a fetch engine, a BTB, a prediction network or a
+// machine configuration.
 
 import (
+	"context"
+	"fmt"
+	"runtime/pprof"
+
 	"valuepred/internal/btb"
+	"valuepred/internal/chunk"
 	"valuepred/internal/core"
 	"valuepred/internal/dfg"
 	"valuepred/internal/fetch"
@@ -21,6 +27,7 @@ import (
 	"valuepred/internal/obs"
 	"valuepred/internal/pipeline"
 	"valuepred/internal/predictor"
+	"valuepred/internal/trace"
 )
 
 // decl declares one per-workload experiment. Its table has one row per
@@ -104,16 +111,15 @@ type pipeRun struct {
 	net core.Stats
 }
 
-// run executes d under p. The outcome streams are recorded as a grid of
-// their own under the experiment's id, one cell per (workload, predictor)
-// with the predictor's name as column and "outcomes" as variant: a direct
-// predictor's outcomes depend on the trace alone (DESIGN.md §7), so every
-// cell of the run replays its workload's stream instead of driving a
-// predictor again. The streams live for this one run. Each recording pass
-// adds its accuracy to p.Obs's predictor counters: it looks up and updates
-// every value-producing record once, and every predictor is confident
-// only when it has a value. The rows, the average row and the aggregate
-// note are built in presentation order, so the float64 addition order
+// run executes d under p. A direct predictor's outcomes depend on the
+// trace alone (DESIGN.md §7), so each is recorded once per workload, with
+// the predictor's name as column and "outcomes" as variant, and every cell
+// of the run replays its workload's stream instead of driving a predictor
+// again. The streams live for this one run. Flat feeds run one plan cell
+// per key (runCells); streamed feeds run one plan cell per workload that
+// reads its trace once (runPasses). Either way each result is filed under
+// its cell's key, and the rows, the average row and the aggregate note are
+// built from them in presentation order, so the float64 addition order
 // never depends on cell scheduling.
 func (d decl) run(p Params) (*Table, error) {
 	feeds, err := p.feeds()
@@ -121,41 +127,11 @@ func (d decl) run(p Params) (*Table, error) {
 		return nil, err
 	}
 	names := p.workloads()
-	var recs *gridResults
-	if len(d.preds) > 0 {
-		g := p.newGrid(d.id)
-		for _, name := range names {
-			f := feeds[name]
-			for _, s := range d.preds {
-				g.cell(name, s.name, "outcomes", func() (any, error) {
-					outs, acc := predictor.RecordOutcomes(s.mk(f), f.source())
-					reg := p.Obs.Registry() // nil, and its counters nil, when Obs is nil
-					reg.Counter("predictor.lookups").Add(acc.Eligible)
-					reg.Counter("predictor.lookup.has_value").Add(acc.Attempted)
-					reg.Counter("predictor.lookup.confident").Add(acc.ConfidentAttempted)
-					reg.Counter("predictor.updates").Add(acc.Eligible)
-					return recording{outs: outs, acc: acc}, nil
-				})
-			}
-		}
-		if recs, err = g.run(); err != nil {
-			return nil, err
-		}
+	results := d.runCells
+	if p.Stream {
+		results = d.runPasses
 	}
-	g := p.newGrid(d.id)
-	for _, name := range names {
-		f := feeds[name]
-		for _, c := range d.cells {
-			g.cell(name, c.col, c.variant, func() (any, error) {
-				var outs *predictor.Outcomes
-				if c.m.vp != "" {
-					outs = recs.get(name, c.m.vp, "outcomes").(recording).outs
-				}
-				return c.m.run(f, outs, p.track(d.id, name, c.col, c.variant))
-			})
-		}
-	}
-	res, err := g.run()
+	recs, res, err := results(p, names, feeds)
 	if err != nil {
 		return nil, err
 	}
@@ -181,18 +157,137 @@ func (d decl) run(p Params) (*Table, error) {
 	return t, nil
 }
 
-// run makes the cell's run over a fresh source of f, replaying outs when
-// the cell predicts values directly and reporting to the tracer track o.
-func (m machine) run(f feed, outs *predictor.Outcomes, o *obs.Sink) (any, error) {
+// runCells runs d over flat feeds with one plan cell per key: the outcome
+// streams as a grid of their own, then every machine and analysis cell
+// over a fresh source of its workload's trace. It returns the recordings
+// and the cells' results.
+func (d decl) runCells(p Params, names []string, feeds map[string]feed) (recs, res *gridResults, err error) {
+	if len(d.preds) > 0 {
+		g := p.newGrid(d.id)
+		for _, name := range names {
+			f := feeds[name]
+			for _, s := range d.preds {
+				g.cell(name, s.name, "outcomes", func() (any, error) {
+					return p.record(s, f, f.source(), predictor.NewOutcomes(f.Len())), nil
+				})
+			}
+		}
+		if recs, err = g.run(); err != nil {
+			return nil, nil, err
+		}
+	}
+	g := p.newGrid(d.id)
+	for _, name := range names {
+		f := feeds[name]
+		for _, c := range d.cells {
+			g.cell(name, c.col, c.variant, func() (any, error) {
+				var outs *predictor.Outcomes
+				if c.m.vp != "" {
+					outs = recs.get(name, c.m.vp, "outcomes").(recording).outs
+				}
+				return c.m.run(f, f.source(), outs, p.track(d.id, name, c.col, c.variant))
+			})
+		}
+	}
+	res, err = g.run()
+	return recs, res, err
+}
+
+// runPasses runs d over streamed feeds with one plan cell per workload,
+// its pass (see pass), and files each recording and cell result under the
+// key runCells gives it.
+func (d decl) runPasses(p Params, names []string, feeds map[string]feed) (recs, res *gridResults, err error) {
+	g := p.newGrid(d.id)
+	for _, name := range names {
+		g.pass(name, func(ctx context.Context) (any, error) { return d.pass(ctx, p, name, feeds[name]) })
+	}
+	passes, err := g.run()
+	if err != nil {
+		return nil, nil, err
+	}
+	recs, res = p.newResults(d.id, len(names)*len(d.preds)), p.newResults(d.id, len(names)*len(d.cells))
+	for _, name := range names {
+		out := passes.get(name, "", "").([]any)
+		for i, s := range d.preds {
+			recs.put(name, s.name, "outcomes", out[i])
+		}
+		for i, c := range d.cells {
+			res.put(name, c.col, c.variant, out[len(d.preds)+i])
+		}
+	}
+	return recs, res, nil
+}
+
+// pass runs one workload's recorders and then its cells as consumers of
+// one chunk.Share of f's trace (DESIGN.md §13), so the trace is decoded
+// once for all of them, and returns their results in that order. Every
+// decoded block reaches the recorders first, so a cell never replays an
+// outcome not yet recorded. Each consumer runs under its cell's pprof
+// labels. The first failing cell in declaration order fails the pass,
+// under its own key.
+func (d decl) pass(ctx context.Context, p Params, name string, f feed) ([]any, error) {
+	out := make([]any, len(d.preds)+len(d.cells))
+	errs := make([]error, len(d.cells))
+	outs := make(map[string]*predictor.Outcomes, len(d.preds))
+	consumers := make([]func(trace.Source), 0, len(out))
+	labeled := func(col, variant string, fn func(trace.Source)) {
+		labels := p.key(d.id, name, col, variant).Labels()
+		consumers = append(consumers, func(src trace.Source) {
+			pprof.Do(ctx, labels, func(context.Context) { fn(src) })
+		})
+	}
+	for i, s := range d.preds {
+		o := predictor.NewOutcomes(f.Len())
+		outs[s.name] = o
+		labeled(s.name, "outcomes", func(src trace.Source) { out[i] = p.record(s, f, src, o) })
+	}
+	for i, c := range d.cells {
+		labeled(c.col, c.variant, func(src trace.Source) {
+			out[len(d.preds)+i], errs[i] = c.m.run(f, src, outs[c.m.vp], p.track(d.id, name, c.col, c.variant))
+		})
+	}
+	cur := chunk.NewCursor(f.seq, f.n)
+	if err := chunk.Share(ctx, cur, consumers...); err != nil {
+		return nil, err
+	}
+	if err := cur.Err(); err != nil {
+		return nil, err
+	}
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("cell %s: %w", p.key(d.id, name, d.cells[i].col, d.cells[i].variant), err)
+		}
+	}
+	return out, nil
+}
+
+// record records s's outcome stream over src into o and adds the pass's
+// accuracy to p.Obs's predictor counters: it looks up and updates every
+// value-producing record once, and every predictor is confident only when
+// it has a value.
+func (p Params) record(s vpSpec, f feed, src trace.Source, o *predictor.Outcomes) recording {
+	acc := o.Record(s.mk(f), src)
+	reg := p.Obs.Registry() // nil, and its counters nil, when Obs is nil
+	reg.Counter("predictor.lookups").Add(acc.Eligible)
+	reg.Counter("predictor.lookup.has_value").Add(acc.Attempted)
+	reg.Counter("predictor.lookup.confident").Add(acc.ConfidentAttempted)
+	reg.Counter("predictor.updates").Add(acc.Eligible)
+	return recording{outs: o, acc: acc}
+}
+
+// run makes the cell's run over src, a source of f's trace, replaying outs
+// when the cell predicts values directly and reporting to the tracer
+// track o.
+func (m machine) run(f feed, src trace.Source, outs *predictor.Outcomes, o *obs.Sink) (any, error) {
 	switch m.kind {
 	case "dfg":
-		return dfg.AnalyzeSource(f.source(), dfg.Config{}), nil
+		return dfg.AnalyzeSource(src, dfg.Config{}), nil
 	case "classes":
-		return predictor.EvaluateByClassSource(predictor.NewStride(), f.source()), nil
+		return predictor.EvaluateByClassSource(predictor.NewStride(), src), nil
 	case "ideal":
 		cfg := ideal.DefaultConfig(m.width)
 		cfg.Outcomes, cfg.Obs = outs, o
-		return ideal.Run(f.source(), cfg)
+		return ideal.Run(src, cfg)
 	case "pipeline":
 	default:
 		panic("experiment: unknown machine kind " + m.kind)
@@ -209,7 +304,7 @@ func (m machine) run(f feed, outs *predictor.Outcomes, o *obs.Sink) (any, error)
 			return nil, err
 		}
 	}
-	res, err := pipeline.Run(m.engine(f), cfg)
+	res, err := pipeline.Run(m.engine(src), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -220,21 +315,21 @@ func (m machine) run(f feed, outs *predictor.Outcomes, o *obs.Sink) (any, error)
 	return out, nil
 }
 
-// engine builds the pipeline's fetch engine over a fresh source of f.
-func (m machine) engine(f feed) fetch.Engine {
+// engine builds the pipeline's fetch engine over src.
+func (m machine) engine(src trace.Source) fetch.Engine {
 	bp := newBTB(m.btb)
 	switch m.fetch {
 	case "seq":
-		return fetch.NewSequentialSource(f.source(), bp, m.taken)
+		return fetch.NewSequentialSource(src, bp, m.taken)
 	case "cb":
-		return fetch.NewCollapsingBufferSource(f.source(), bp)
+		return fetch.NewCollapsingBufferSource(src, bp)
 	case "tc", "tc+partial":
 	default:
 		panic("experiment: unknown fetch engine " + m.fetch)
 	}
 	cfg := fetch.DefaultTCConfig()
 	cfg.PartialMatching = m.fetch == "tc+partial"
-	return fetch.NewTraceCacheSource(f.source(), bp, cfg)
+	return fetch.NewTraceCacheSource(src, bp, cfg)
 }
 
 // newBTB builds the branch predictor named name: a 2-level PAp BTB of one

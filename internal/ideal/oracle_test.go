@@ -1,6 +1,7 @@
 package ideal
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -233,6 +234,15 @@ type outcome struct {
 // set, an Obs sink recording every cycle.
 func observe(t testing.TB, eng engine, recs []trace.Rec, cfg Config, withObs bool) outcome {
 	t.Helper()
+	out, err := observeRun(eng, trace.NewSliceSource(recs), cfg, withObs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// observeRun runs eng on src under cfg, as observe does.
+func observeRun(eng engine, src trace.Source, cfg Config, withObs bool) (outcome, error) {
 	var out outcome
 	cfg.Observer = func(seq, fetch, exec uint64) {
 		out.timings = append(out.timings, timing{seq, fetch, exec})
@@ -241,23 +251,57 @@ func observe(t testing.TB, eng engine, recs []trace.Rec, cfg Config, withObs boo
 	if withObs {
 		cfg.Obs = obs.New(reg, tr).Track("run")
 	}
-	res, err := eng(trace.NewSliceSource(recs), cfg)
+	res, err := eng(src, cfg)
 	if err != nil {
-		t.Fatal(err)
+		return out, err
 	}
 	out.res = res
 	sort.Slice(out.timings, func(i, j int) bool { return out.timings[i].seq < out.timings[j].seq })
 	if withObs {
 		var m, j strings.Builder
 		if err := reg.Snapshot().WriteText(&m); err != nil {
-			t.Fatal(err)
+			return out, err
 		}
 		if err := tr.WriteJSON(&j); err != nil {
-			t.Fatal(err)
+			return out, err
 		}
 		out.metrics, out.trace = m.String(), j.String()
 	}
-	return out
+	return out, nil
+}
+
+// observeShared runs Run under cfg as one consumer of a chunk.Share over a
+// cursor of recs in 7-record chunks, as a streamed experiment pass does.
+// With newPred set, a recorder declared before it records the outcome
+// stream it replays as the read goes. A second machine, with a live
+// predictor from newPred, reads beside it. It returns both outcomes.
+func observeShared(t testing.TB, recs []trace.Rec, cfg Config, newPred func() predictor.Predictor) (replayed, second outcome) {
+	t.Helper()
+	q, err := chunk.Build(trace.NewSliceSource(recs), 0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, live := cfg, cfg
+	var consumers []func(trace.Source)
+	if newPred != nil {
+		p := newPred()
+		first.Outcomes, live.Predictor = predictor.NewOutcomes(len(recs)), newPred()
+		consumers = append(consumers, func(src trace.Source) { first.Outcomes.Record(p, src) })
+	}
+	var errs [2]error
+	consumers = append(consumers,
+		func(src trace.Source) { replayed, errs[0] = observeRun(Run, src, first, false) },
+		func(src trace.Source) { second, errs[1] = observeRun(Run, src, live, false) })
+	c := chunk.NewCursor(q, q.Len())
+	if err := chunk.Share(context.Background(), c, consumers...); err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range append(errs[:], c.Err()) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return replayed, second
 }
 
 // diff describes the first way two outcomes differ, or returns "".
@@ -287,7 +331,8 @@ func (want outcome) diff(got outcome) string {
 // must match the oracle with Obs set and its Result and timings with Obs
 // nil, which takes the uninstrumented path, whether it views the slice
 // source's records, reads them through the bare Source interface (see
-// runOpaque) or views them from a chunk cursor (see runChunked). With a
+// runOpaque), views them from a chunk cursor (see runChunked) or reads
+// that cursor as one consumer of a shared read (see observeShared). With a
 // predictor, Run must also match the oracle when it replays the outcome
 // stream a fresh predictor records over recs. label names the trace and
 // predictor in failure messages.
@@ -320,6 +365,13 @@ func compare(t testing.TB, label string, recs []trace.Rec, cfg Config, newPred f
 	}
 	if d := want.diff(observe(t, runChunked, recs, with(cfg), false)); d != "" {
 		t.Errorf("%s from a chunk cursor: %s", label, d)
+	}
+	replayed, second := observeShared(t, recs, cfg, newPred)
+	if d := want.diff(replayed); d != "" {
+		t.Errorf("%s from a shared read: %s", label, d)
+	}
+	if d := want.diff(second); d != "" {
+		t.Errorf("%s from a shared read, second machine: %s", label, d)
 	}
 }
 

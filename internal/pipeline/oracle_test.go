@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -395,6 +396,16 @@ func (m vpMode) newPredictor() predictor.Predictor {
 // prediction state for mode, and records its outcome.
 func observe(t testing.TB, run engineFunc, newEng func() fetch.Engine, cfg Config, mode vpMode, withObs bool) outcome {
 	t.Helper()
+	out, err := observeRun(run, newEng(), cfg, mode, withObs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// observeRun runs one engine on eng, with fresh prediction state for mode,
+// and records its outcome.
+func observeRun(run engineFunc, eng fetch.Engine, cfg Config, mode vpMode, withObs bool) (outcome, error) {
 	cfg.Predictor = mode.newPredictor()
 	if mode == networkVP {
 		cfg.Network = core.MustNew(core.DefaultConfig())
@@ -407,23 +418,52 @@ func observe(t testing.TB, run engineFunc, newEng func() fetch.Engine, cfg Confi
 	if withObs {
 		cfg.Obs = obs.New(reg, tr).Track("run")
 	}
-	res, err := run(newEng(), cfg)
+	res, err := run(eng, cfg)
 	if err != nil {
-		t.Fatal(err)
+		return out, err
 	}
 	out.res = res
 	sort.Slice(out.timings, func(i, j int) bool { return out.timings[i].seq < out.timings[j].seq })
 	if withObs {
 		var m, j strings.Builder
 		if err := reg.Snapshot().WriteText(&m); err != nil {
-			t.Fatal(err)
+			return out, err
 		}
 		if err := tr.WriteJSON(&j); err != nil {
-			t.Fatal(err)
+			return out, err
 		}
 		out.metrics, out.trace = m.String(), j.String()
 	}
-	return out
+	return out, nil
+}
+
+// observeShared runs Run under cfg and mode as one consumer of a
+// chunk.Share over a cursor of q, as a streamed experiment pass does.
+// With a direct predictor, a recorder declared before it records the
+// outcome stream it replays as the read goes. A second machine, with
+// mode's own prediction, reads beside it. It returns both outcomes.
+func observeShared(t testing.TB, q *chunk.Seq, e namedEngine, cfg Config, mode vpMode) (replayed, second outcome) {
+	t.Helper()
+	first, firstMode := cfg, mode
+	var consumers []func(trace.Source)
+	if p := mode.newPredictor(); p != nil {
+		first.Outcomes, firstMode = predictor.NewOutcomes(q.Len()), noVP
+		consumers = append(consumers, func(src trace.Source) { first.Outcomes.Record(p, src) })
+	}
+	var errs [2]error
+	consumers = append(consumers,
+		func(src trace.Source) { replayed, errs[0] = observeRun(Run, e.new(src), first, firstMode, false) },
+		func(src trace.Source) { second, errs[1] = observeRun(Run, e.new(src), cfg, mode, false) })
+	c := chunk.NewCursor(q, q.Len())
+	if err := chunk.Share(context.Background(), c, consumers...); err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range append(errs[:], c.Err()) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return replayed, second
 }
 
 // diff describes the first way two outcomes differ, or returns "".
@@ -453,9 +493,11 @@ func (want outcome) diff(got outcome) string {
 // match the oracle with Obs set, and its Result and timings with Obs nil,
 // which takes the uninstrumented path, also when e reads recs from a
 // cursor over 7-record chunks through its bounded window, which fills in
-// bulk from the cursor's views. With a direct predictor, Run must also
-// match the oracle when it replays the outcome stream a fresh predictor
-// records over recs. label names the trace and engine in failures.
+// bulk from the cursor's views, and when it reads that cursor as one
+// consumer of a shared read (see observeShared). With a direct predictor,
+// Run must also match the oracle when it replays the outcome stream a
+// fresh predictor records over recs. label names the trace and engine in
+// failures.
 func compare(t testing.TB, label string, recs []trace.Rec, e namedEngine, cfg Config, mode vpMode) {
 	t.Helper()
 	label = fmt.Sprintf("%s/%s/%s width=%d window=%d bpen=%d vpen=%d lat=%d rob=%v mem=%v",
@@ -484,6 +526,13 @@ func compare(t testing.TB, label string, recs []trace.Rec, e namedEngine, cfg Co
 	chunked := func() fetch.Engine { return e.new(chunk.NewCursor(q, q.Len())) }
 	if d := want.diff(observe(t, Run, chunked, cfg, mode, false)); d != "" {
 		t.Errorf("%s from a chunk cursor: %s", label, d)
+	}
+	replayed, second := observeShared(t, q, e, cfg, mode)
+	if d := want.diff(replayed); d != "" {
+		t.Errorf("%s from a shared read: %s", label, d)
+	}
+	if d := want.diff(second); d != "" {
+		t.Errorf("%s from a shared read, second machine: %s", label, d)
 	}
 }
 
@@ -554,6 +603,49 @@ func TestRunMatchesOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStoreTablePurgeKeepsInFlightStores runs a trace with four times more
+// distinct store addresses than the store table has slots, so the table
+// purges many times, while one store is kept in flight across every purge:
+// its data comes from a load with a 300-cycle latency. A load from the
+// same address, fetched after the purges, must still wait for that store,
+// and both engines must agree on every record under every fetch engine,
+// also with ROB commit (where the store's commit holds back fetch, so the
+// load comes late).
+func TestStoreTablePurgeKeepsInFlightStores(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.LoadLatency = 300
+	var tab storeTable
+	tab.reset(cfg.WindowSize)
+	stores := 4 * len(tab.slots)
+	recs := []trace.Rec{
+		{Op: isa.LD, Rd: isa.T0, Rs1: isa.Zero, Addr: 0x100},
+		{Op: isa.SD, Rs1: isa.Zero, Rs2: isa.T0, Addr: 0x200, Val: 7},
+	}
+	for i := range stores {
+		recs = append(recs, trace.Rec{Op: isa.SD, Rs1: isa.Zero, Rs2: isa.Zero, Addr: 0x10000 + 8*uint64(i)})
+	}
+	recs = append(recs, trace.Rec{Op: isa.LD, Rd: isa.T1, Rs1: isa.Zero, Addr: 0x200, Val: 7})
+	for i := range recs {
+		recs[i].Seq, recs[i].PC = uint64(i), isa.PCOf(i)
+		recs[i].Target = recs[i].PC + isa.InstBytes
+	}
+	var execs []uint64
+	cfg.Observer = func(_, _, exec uint64) { execs = append(execs, exec) }
+	if _, err := Run(fetch.NewSequential(recs, btb.NewPerfect(), -1), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if store, load := execs[1], execs[len(execs)-1]; load != store+1 || store < 300 {
+		t.Errorf("the store executes in cycle %d and the load from its address in %d, want %d", store, load, store+1)
+	}
+	cfg.Observer = nil
+	for _, rob := range []bool{false, true} {
+		cfg.HoldUntilCommit = rob
+		for _, e := range oracleEngines {
+			compare(t, "store table", recs, e, cfg, noVP)
+		}
 	}
 }
 

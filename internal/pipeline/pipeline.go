@@ -272,7 +272,7 @@ func (m *machine) start(cfg Config) error {
 	if cfg.OracleVP {
 		cfg.Predictor, cfg.Outcomes, cfg.Network = nil, nil, nil
 	}
-	m.cfg, m.s = cfg, getScratch() // the store map, the ring's array and the buffers
+	m.cfg, m.s = cfg, getScratch(cfg.WindowSize) // the store table, the ring's array and the buffers
 	m.clk = clock{now: 1, ring: m.s.ring, o: cfg.Obs}
 	return nil
 }
@@ -495,9 +495,9 @@ func (m *machine) ingest(recs []trace.Rec) (exec uint64, err error) {
 			exec = max(exec, m.regs[r].readyAt(fetch, penalty))
 		}
 		if cfg.IncludeMemoryDeps && rec.Op.IsLoad() {
-			// Stores are never predicted and take one cycle; an absent
-			// address reads as 0.
-			exec = max(exec, m.s.stores[rec.Addr]+1)
+			// Stores are never predicted and take one cycle; a store the
+			// table no longer holds executed too early to delay the load.
+			exec = max(exec, m.s.stores.get(rec.Addr)+1)
 		}
 		// Without HoldUntilCommit it commits, and leaves the window, as it
 		// executes.
@@ -537,7 +537,7 @@ func (m *machine) ingest(recs []trace.Rec) (exec uint64, err error) {
 			m.regs[rec.Rd] = producer{result: exec + cfg.latencyOf(rec.Op), right: right, wrong: wrong}
 		}
 		if cfg.IncludeMemoryDeps && rec.Op.IsStore() {
-			m.s.stores[rec.Addr] = exec
+			m.s.stores.put(rec.Addr, exec, fetch)
 		}
 		if cfg.Observer != nil {
 			cfg.Observer(rec.Seq, fetch, exec)

@@ -272,8 +272,13 @@ func runCell(ctx context.Context, c Cell, index int, sink *obs.Sink) (result any
 		}
 		done(err == nil)
 	}()
-	labels := pprof.Labels("experiment", c.Key.Experiment, "workload", c.Key.Workload,
-		"column", c.Key.Column, "variant", c.Key.Variant)
-	pprof.Do(ctx, labels, func(ctx context.Context) { result, err = c.Run(ctx) })
+	pprof.Do(ctx, c.Key.Labels(), func(ctx context.Context) { result, err = c.Run(ctx) })
 	return result, err
+}
+
+// Labels returns the pprof labels a cell keyed k runs under: its
+// experiment, workload, column and variant.
+func (k Key) Labels() pprof.LabelSet {
+	return pprof.Labels("experiment", k.Experiment, "workload", k.Workload,
+		"column", k.Column, "variant", k.Variant)
 }

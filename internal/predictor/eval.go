@@ -81,21 +81,17 @@ func EvaluateSource(p Predictor, src trace.Source) Accuracy {
 // outcome to o.
 func evaluate(p Predictor, src trace.Source, o *Outcomes) Accuracy {
 	var a Accuracy
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
+	trace.ForEach(src, func(r *trace.Rec) {
 		i := o.grow()
 		if !r.WritesValue() {
-			continue
+			return
 		}
 		pr := p.Lookup(r.PC)
 		if correct := a.add(pr, r.Val); pr.Confident {
 			o.set(i, correct)
 		}
 		p.Update(r.PC, r.Val)
-	}
+	})
 	return a
 }
 
@@ -112,13 +108,9 @@ type ClassAccuracy struct {
 // accumulates accuracy separately per instruction class.
 func EvaluateByClassSource(p Predictor, src trace.Source) ClassAccuracy {
 	var ca ClassAccuracy
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
+	trace.ForEach(src, func(r *trace.Rec) {
 		if !r.WritesValue() {
-			continue
+			return
 		}
 		a := &ca.ALU
 		switch {
@@ -129,6 +121,6 @@ func EvaluateByClassSource(p Predictor, src trace.Source) ClassAccuracy {
 		}
 		a.add(p.Lookup(r.PC), r.Val)
 		p.Update(r.PC, r.Val)
-	}
+	})
 	return ca
 }

@@ -150,13 +150,9 @@ func ProfileSource(src trace.Source, minAccuracy float64) *ProfileHints {
 	lv := NewLastValue()
 	st := NewStride()
 	per := make(map[uint64]*counts)
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
+	trace.ForEach(src, func(r *trace.Rec) {
 		if !r.WritesValue() {
-			continue
+			return
 		}
 		c := per[r.PC]
 		if c == nil {
@@ -172,7 +168,7 @@ func ProfileSource(src trace.Source, minAccuracy float64) *ProfileHints {
 		}
 		lv.Update(r.PC, r.Val)
 		st.Update(r.PC, r.Val)
-	}
+	})
 	hints := make(map[uint64]Hint, len(per))
 	for pc, c := range per {
 		best := c.strideOK

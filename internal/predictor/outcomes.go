@@ -15,16 +15,31 @@ type Outcomes struct {
 	n     int      // records
 }
 
-// RecordOutcomes runs p over src with the lookup-then-update protocol and
-// returns every record's outcome together with the pass's accuracy, which
-// equals EvaluateSource's. When src reports its length, the stream is
-// sized up front.
+// NewOutcomes returns an empty outcome stream sized for n records, for
+// Record to fill.
+func NewOutcomes(n int) *Outcomes {
+	return &Outcomes{words: make([]uint64, 0, (max(n, 0)+31)/32)}
+}
+
+// Record runs p over src with the lookup-then-update protocol, appending
+// every record's outcome to o, and returns the pass's accuracy, which
+// equals EvaluateSource's. o grows as Record reads, so a machine may
+// replay the records already recorded while Record is still running, once
+// a handoff orders its reads after Record's writes.
+func (o *Outcomes) Record(p Predictor, src trace.Source) Accuracy {
+	return evaluate(p, src, o)
+}
+
+// RecordOutcomes records p's outcomes over src into a new stream, sized
+// up front when src reports its length, and returns it together with the
+// pass's accuracy.
 func RecordOutcomes(p Predictor, src trace.Source) (*Outcomes, Accuracy) {
-	o := &Outcomes{}
+	n := 0
 	if l, ok := src.(interface{ Len() int }); ok {
-		o.words = make([]uint64, 0, (l.Len()+31)/32)
+		n = l.Len()
 	}
-	return o, evaluate(p, src, o)
+	o := NewOutcomes(n)
+	return o, o.Record(p, src)
 }
 
 // Len returns the number of records recorded.

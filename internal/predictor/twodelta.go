@@ -124,14 +124,10 @@ var (
 // only the static load PCs are retained.
 func NewLoadsOnlyFromSource(inner Predictor, src trace.Source) *LoadsOnly {
 	p := NewLoadsOnly(inner)
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
+	trace.ForEach(src, func(r *trace.Rec) {
 		if r.Op.IsLoad() {
 			p.MarkLoad(r.PC)
 		}
-	}
+	})
 	return p
 }

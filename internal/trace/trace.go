@@ -7,6 +7,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 
 	"valuepred/internal/isa"
 )
@@ -124,6 +125,26 @@ func (s *SliceSource) Len() int { return len(s.recs) }
 // zero-copy flat path when a Source is known to be slice-backed.
 func (s *SliceSource) Recs() []Rec { return s.recs[s.pos:len(s.recs):len(s.recs)] }
 
+// ForEach calls fn with each remaining record of src, in order. It reads a
+// Viewer's records in place, a view at a time, and any other Source's
+// through Next; either way fn must not keep r past its return. Every
+// consumer of a whole trace reads it this way.
+func ForEach(src Source, fn func(r *Rec)) {
+	if v, ok := src.(Viewer); ok {
+		for recs := v.View(math.MaxInt); len(recs) > 0; recs = v.View(math.MaxInt) {
+			for i := range recs {
+				fn(&recs[i])
+			}
+		}
+		return
+	}
+	var r Rec // one variable for every record: fn's argument escapes
+	var ok bool
+	for r, ok = src.Next(); ok; r, ok = src.Next() {
+		fn(&r)
+	}
+}
+
 // Collect drains a Source into a slice, stopping after max records
 // (max <= 0 means no limit). The output is sized up front — to max, or to
 // the source's known length when it exposes one (e.g. SliceSource) —
@@ -170,13 +191,8 @@ type Summary struct {
 // distinct static PCs, so cmd/vptrace can inspect 100M-record traces.
 func SummarizeSource(src Source) Summary {
 	z := NewSummarizer()
-	for {
-		r, ok := src.Next()
-		if !ok {
-			return z.Summary()
-		}
-		z.Add(r)
-	}
+	ForEach(src, func(r *Rec) { z.Add(*r) })
+	return z.Summary()
 }
 
 // Summarizer accumulates Summary statistics one record at a time. It owns

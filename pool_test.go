@@ -20,11 +20,11 @@ import (
 // the same experiment grids three times back-to-back on a wide pool and
 // byte-compares every render. The first pass runs on the freshest pool
 // this process can offer; the later passes run on scratches dirtied by
-// the pass before — filled store maps, grown cycle rings and lookup
+// the pass before — filled store tables, grown cycle rings and lookup
 // buffers. Any stale scratch state leaking between cells shows up as a
 // diff; under `make race` the same hammer doubles as a data-race probe on
 // the pool itself. Both machines draw from the pipeline's one scratch
-// pool: fig3.1 dirties it through RunPerfectFetch (the store-address map
+// pool: fig3.1 dirties it through RunPerfectFetch (the store table
 // and cycle ring), fig5.3 through Run (the same two plus the network PC
 // buffer) and reuses the network's group buffers. The group buffer
 // RunPerfectFetch reads a non-slice source into is dirtied by the
@@ -70,8 +70,8 @@ func TestPooledScratchReuseIsDeterministic(t *testing.T) {
 // testing.AllocsPerRun. The budgets are deliberately loose multiples of
 // the measured steady state (ideal with a live predictor ~6, nearly all of
 // them the growth of its dense tables; ideal replaying an outcome stream
-// ~1; network machine ~1060; sequential machine ~1 for a
-// 20k-instruction trace) but far below one allocation
+// ~1; network machine ~1060; sequential machine ~1, and behind a 2-level
+// BTB ~4, for a 20k-instruction trace) but far below one allocation
 // per instruction — before the pooled scratches the same runs cost ~2.8
 // allocations per instruction (~56k per run at this trace length), so any
 // reintroduced per-instruction allocation fails immediately.
@@ -118,6 +118,16 @@ func TestAllocBudgetPerCell(t *testing.T) {
 	check("machine/sequential", 50, func() {
 		cfg := NewMachineConfig()
 		if _, err := RunMachine(NewSequentialFetch(recs, NewPerfectBTB(), 1), cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	// The same machine behind the paper's 2-level BTB, which keeps its
+	// entries and pattern counters in two flat arrays: a few allocations
+	// per run, not one per set at construction and one per BTB miss.
+	check("machine/sequential+2-level BTB", 50, func() {
+		cfg := NewMachineConfig()
+		if _, err := RunMachine(NewSequentialFetch(recs, NewTwoLevelBTB(), 1), cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
