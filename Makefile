@@ -21,8 +21,8 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs the repository's own analyzers (aliaslint, ctxlint, detlint,
-# doclint, errlint, keyedlint, poollint — see DESIGN.md
+# lint runs the repository's five own analyzers (ctxlint, detlint,
+# doclint, errlint, keyedlint — see DESIGN.md
 # "Determinism contract & lint suite") over every package and fails on any
 # diagnostic.
 lint:

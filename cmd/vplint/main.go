@@ -1,12 +1,12 @@
-// Command vplint is the repository's multichecker: it runs the custom
-// determinism, documentation, stats-safety, aliasing, pooling and context
-// analyzers (see DESIGN.md, "Determinism contract & lint suite") over the
-// packages matched by the given patterns and exits non-zero if any
-// diagnostic fires.
+// Command vplint is the repository's multichecker: it runs the five custom
+// analyzers — determinism, documentation, error handling, keyed literals
+// and context discipline (see DESIGN.md, "Determinism contract & lint
+// suite") — over the packages matched by the given patterns and exits
+// non-zero if any diagnostic fires.
 //
 // Usage:
 //
-//	vplint [-C dir] [-only detlint,errlint] [-json] [packages...]   # default ./...
+//	vplint [-C dir] [-json] [packages...]   # default ./...
 //	vplint -list
 //	vplint -h        # one-line doc per analyzer
 //
@@ -47,7 +47,6 @@ import (
 	"strings"
 
 	"valuepred/internal/lint"
-	"valuepred/internal/lint/analysis"
 )
 
 func main() {
@@ -78,12 +77,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		dir      = fs.String("C", ".", "directory of the module to analyze")
-		only     = fs.String("only", "", "comma-separated subset of analyzers to run (default all)")
 		list     = fs.Bool("list", false, "list the analyzers and exit")
 		jsonFlag = fs.Bool("json", false, "emit diagnostics as JSON on stdout")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: vplint [-C dir] [-only names] [-json] [-list] [packages...]")
+		fmt.Fprintln(stderr, "usage: vplint [-C dir] [-json] [-list] [packages...]")
 		fs.PrintDefaults()
 		fmt.Fprintln(stderr, "\nanalyzers:")
 		for _, a := range lint.Analyzers() {
@@ -97,33 +95,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	analyzers := lint.Analyzers()
 	if *list {
-		for _, a := range analyzers {
+		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(stdout, "%-10s %s\n", a.Name, firstLine(a.Doc))
 		}
 		return nil
-	}
-	if *only != "" {
-		byName := make(map[string]*analysis.Analyzer, len(analyzers))
-		for _, a := range analyzers {
-			byName[a.Name] = a
-		}
-		analyzers = analyzers[:0]
-		for _, name := range strings.Split(*only, ",") {
-			a, ok := byName[name]
-			if !ok {
-				return fmt.Errorf("unknown analyzer %q (run vplint -list)", name)
-			}
-			analyzers = append(analyzers, a)
-		}
 	}
 
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	diags, err := lint.Run(*dir, patterns, analyzers)
+	diags, err := lint.Run(*dir, patterns)
 	if err != nil {
 		return err
 	}

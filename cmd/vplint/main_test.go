@@ -18,13 +18,11 @@ func TestKnownBadFixture(t *testing.T) {
 	}
 	got := out.String()
 	for _, want := range []struct{ analyzer, fragment string }{
-		{"aliaslint", "append writes into g.Recs, a read-only view"},
 		{"ctxlint", "context.Background mints a root context"},
 		{"detlint", "map iteration order is randomized"},
 		{"doclint", "package main has no package doc comment"},
 		{"errlint", "error returned by stats.Load is discarded"},
 		{"keyedlint", "unkeyed fields in composite literal of Config"},
-		{"poollint", "field cursor of pooled scratch is not reset"},
 		{"lint", "suppression directive has no reason"},
 	} {
 		if !strings.Contains(got, want.analyzer+": ") || !strings.Contains(got, want.fragment) {
@@ -34,8 +32,8 @@ func TestKnownBadFixture(t *testing.T) {
 	if strings.Contains(got, "Suppressed") {
 		t.Errorf("the ignore directive did not suppress the marked loop:\n%s", got)
 	}
-	if !strings.Contains(err.Error(), "9 issue(s) found") {
-		t.Errorf("expected exactly 9 issues, got: %v", err)
+	if !strings.Contains(err.Error(), "7 issue(s) found") {
+		t.Errorf("expected exactly 7 issues, got: %v", err)
 	}
 }
 
@@ -44,7 +42,7 @@ func TestKnownBadFixture(t *testing.T) {
 // violation underneath it still fires.
 func TestNoReasonDirectiveDoesNotSuppress(t *testing.T) {
 	var out, errBuf strings.Builder
-	err := run([]string{"-C", "testdata/src", "-only", "detlint", "./internal/stats"}, &out, &errBuf)
+	err := run([]string{"-C", "testdata/src", "./internal/stats"}, &out, &errBuf)
 	if err == nil {
 		t.Fatal("expected an error, got none")
 	}
@@ -57,35 +55,19 @@ func TestNoReasonDirectiveDoesNotSuppress(t *testing.T) {
 	}
 }
 
-// TestOnlySubset checks -only restricts the analyzer suite. Directive
-// validation is unconditional, so the reason-less directive still counts.
-func TestOnlySubset(t *testing.T) {
-	var out, errBuf strings.Builder
-	err := run([]string{"-C", "testdata/src", "-only", "keyedlint", "./..."}, &out, &errBuf)
-	if err == nil || !strings.Contains(err.Error(), "2 issue(s) found") {
-		t.Fatalf("expected the keyedlint issue plus the malformed directive, got err=%v\noutput:\n%s", err, out.String())
-	}
-	if strings.Contains(out.String(), "detlint:") {
-		t.Errorf("-only keyedlint still ran detlint:\n%s", out.String())
-	}
-}
-
-// TestListAnalyzers checks -list names the full seven-analyzer suite.
+// TestListAnalyzers checks -list names the full five-analyzer suite.
 func TestListAnalyzers(t *testing.T) {
 	var out, errBuf strings.Builder
 	if err := run([]string{"-list"}, &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{
-		"aliaslint", "ctxlint", "detlint", "doclint",
-		"errlint", "keyedlint", "poollint",
-	} {
+	for _, name := range []string{"ctxlint", "detlint", "doclint", "errlint", "keyedlint"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())
 		}
 	}
-	if n := strings.Count(out.String(), "\n"); n != 7 {
-		t.Errorf("-list names %d analyzers, want 7:\n%s", n, out.String())
+	if n := strings.Count(out.String(), "\n"); n != 5 {
+		t.Errorf("-list names %d analyzers, want 5:\n%s", n, out.String())
 	}
 }
 
@@ -97,8 +79,8 @@ func TestJSONOutput(t *testing.T) {
 	for i := range runs {
 		var out, errBuf strings.Builder
 		err := run([]string{"-C", "testdata/src", "-json", "./..."}, &out, &errBuf)
-		if err == nil || !strings.Contains(err.Error(), "9 issue(s) found") {
-			t.Fatalf("run %d: expected 9 issues, got err=%v", i, err)
+		if err == nil || !strings.Contains(err.Error(), "7 issue(s) found") {
+			t.Fatalf("run %d: expected 7 issues, got err=%v", i, err)
 		}
 		runs[i] = out.String()
 	}
@@ -122,8 +104,8 @@ func TestJSONOutput(t *testing.T) {
 	if report.Version != 1 {
 		t.Errorf("schema version = %d, want 1", report.Version)
 	}
-	if report.Count != len(report.Diagnostics) || report.Count != 9 {
-		t.Errorf("count = %d, len(diagnostics) = %d, want 9", report.Count, len(report.Diagnostics))
+	if report.Count != len(report.Diagnostics) || report.Count != 7 {
+		t.Errorf("count = %d, len(diagnostics) = %d, want 7", report.Count, len(report.Diagnostics))
 	}
 	for _, d := range report.Diagnostics {
 		if strings.HasPrefix(d.File, "/") || strings.Contains(d.File, "\\") {
@@ -143,10 +125,7 @@ func TestHelpExitsClean(t *testing.T) {
 		t.Fatalf("-h returned error: %v", err)
 	}
 	usage := errBuf.String()
-	for _, name := range []string{
-		"aliaslint", "ctxlint", "detlint", "doclint",
-		"errlint", "keyedlint", "poollint",
-	} {
+	for _, name := range []string{"ctxlint", "detlint", "doclint", "errlint", "keyedlint"} {
 		if !strings.Contains(usage, name) {
 			t.Errorf("-h usage missing analyzer %s:\n%s", name, usage)
 		}

@@ -9,9 +9,9 @@
 // Ownership contract (the full lifecycle is drawn in DESIGN.md §13):
 //
 //   - A Chunk is owned by exactly one goroutine between acquire (getChunk)
-//     and release (putChunk). Its Recs buffer is reset at every acquire
-//     (poollint-complete), so no record from one use can leak into the
-//     next.
+//     and release (putChunk). It is reset at every acquire by assigning a
+//     literal that keeps only Recs's capacity, so no record from one use
+//     can leak into the next; TestChunkResetLeavesNoState pins it.
 //   - A Seq is immutable once Build returns. Any number of concurrent
 //     Cursors may read it; nobody may mutate it. This is what lets many
 //     experiment cells share one cached trace at chunk granularity.
@@ -66,9 +66,13 @@ var chunkPool = sync.Pool{New: func() any { return &Chunk{} }}
 // reset to length zero (capacity is retained across reuses).
 func getChunk() *Chunk {
 	c := chunkPool.Get().(*Chunk)
-	c.Recs = c.Recs[:0]
+	c.reset()
 	return c
 }
+
+// reset names only Recs, truncated with its capacity kept, so every other
+// field, one added later included, starts at zero.
+func (c *Chunk) reset() { *c = Chunk{Recs: c.Recs[:0]} }
 
 // putChunk returns c to the pool. The caller must not touch c afterwards.
 func putChunk(c *Chunk) { chunkPool.Put(c) }

@@ -250,6 +250,18 @@ func checkWindow(t *testing.T, w *Window, recs []trace.Rec) {
 	}
 }
 
+// TestChunkResetLeavesNoState pins getChunk's reset without going through
+// sync.Pool: a chunk dirtied to full capacity comes back holding no
+// record, with its capacity kept. Every other field of Chunk, one added
+// later included, is zeroed by the reset's literal.
+func TestChunkResetLeavesNoState(t *testing.T) {
+	c := &Chunk{Recs: synth(8)}
+	c.reset()
+	if len(c.Recs) != 0 || cap(c.Recs) != 8 {
+		t.Errorf("reset chunk holds %d records with capacity %d, want 0 and 8", len(c.Recs), cap(c.Recs))
+	}
+}
+
 // TestCursorAllocBudget pins the streaming invariant: draining a cursor
 // over an N-record sequence allocates O(1) — the cursor itself plus pool
 // slack — not O(N). This is the package-level half of the paper-scale

@@ -123,12 +123,10 @@ type Network struct {
 	// the reply buffer, the primary-access records, and the PC-to-primary
 	// index (values are indices into prims, not pointers — prims grows by
 	// append and pointers into it would go stale).
-	// Both buffers are delivered to callers as re-sliced views
-	// (ProcessGroup returns slots truncated to the group); only Network's
-	// own methods may grow or rewrite them.
-	//lint:view
+	// ProcessGroup returns slots truncated to the group, valid until the
+	// next call; both buffers are unexported, so only Network's own
+	// methods can grow or rewrite them.
 	slots []Slot
-	//lint:view
 	prims []primary
 	byPC  map[uint64]int
 }

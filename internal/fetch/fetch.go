@@ -31,9 +31,9 @@ type Group struct {
 	// only until the next NextGroup call, which may reuse the window
 	// buffer behind it. pipeline.Run reads each record before its next
 	// NextGroup call and keeps none, so it satisfies the stricter contract
-	// already. The marker below makes aliaslint enforce the read-only
-	// discipline mechanically.
-	//lint:view
+	// already. The view is capacity-capped, so an append copies it
+	// (TestGroupsAreCapacityCapped), and the root package's
+	// TestStreamedTablesMatchMaterialized fails on any write through it.
 	Recs []trace.Rec
 	// Mispredict reports that the last instruction of Recs is a control
 	// transfer the branch predictor got wrong; the pipeline must stall

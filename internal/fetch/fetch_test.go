@@ -5,6 +5,7 @@ import (
 
 	"valuepred/internal/asm"
 	"valuepred/internal/btb"
+	"valuepred/internal/chunk"
 	"valuepred/internal/emu"
 	"valuepred/internal/isa"
 	"valuepred/internal/trace"
@@ -329,6 +330,50 @@ func TestEnginesEOF(t *testing.T) {
 	tcEng := NewTraceCache(nil, btb.NewPerfect(), DefaultTCConfig())
 	if _, ok := tcEng.NextGroup(8); ok {
 		t.Error("empty trace-cache engine returned a group")
+	}
+}
+
+// TestGroupsAreCapacityCapped holds every engine's groups to len == cap,
+// over a flat trace and over a streamed source, so a consumer that appends
+// to g.Recs gets a new array instead of writing into the trace or the
+// window behind the view.
+func TestGroupsAreCapacityCapped(t *testing.T) {
+	recs := workload.MustTrace("gcc", 1, 5_000)
+	seq, err := chunk.Build(trace.NewSliceSource(recs), 0, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp := func() btb.Predictor { return btb.NewTwoLevel(btb.DefaultTwoLevelConfig()) }
+	for _, src := range []struct {
+		name string
+		open func() trace.Source
+	}{
+		{"flat", func() trace.Source { return trace.NewSliceSource(recs) }},
+		{"streamed", func() trace.Source { return chunk.NewCursor(seq, seq.Len()) }},
+	} {
+		for _, eng := range []struct {
+			name string
+			e    Engine
+		}{
+			{"sequential", NewSequentialSource(src.open(), bp(), 2)},
+			{"tracecache", NewTraceCacheSource(src.open(), bp(), DefaultTCConfig())},
+			{"collapsing", NewCollapsingBufferSource(src.open(), bp())},
+		} {
+			n := 0
+			for {
+				g, ok := eng.e.NextGroup(16)
+				if !ok {
+					break
+				}
+				if cap(g.Recs) != len(g.Recs) {
+					t.Fatalf("%s/%s: group at record %d has len %d but cap %d", src.name, eng.name, n, len(g.Recs), cap(g.Recs))
+				}
+				n += len(g.Recs)
+			}
+			if n != len(recs) {
+				t.Errorf("%s/%s: delivered %d of %d records", src.name, eng.name, n, len(recs))
+			}
+		}
 	}
 }
 

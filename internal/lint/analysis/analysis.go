@@ -3,12 +3,10 @@
 // repository is fully offline (no module proxy), so the upstream framework
 // cannot be added to go.mod; this package mirrors the subset of its API
 // that the vplint analyzers use — Analyzer, Pass, Diagnostic, Reportf —
-// with identical field names and semantics, plus a simplified stand-in for
-// the upstream facts mechanism (FactStore: string-keyed, analyzer-scoped,
-// filled in dependency order) so analyzers can learn properties across
-// package boundaries. If the x/tools dependency ever becomes available,
-// each analyzer ports to the real framework by swapping this import path
-// and translating FactStore keys to object facts.
+// with identical field names and semantics. Every analyzer checks one
+// package at a time, so there is no facts mechanism. If the x/tools
+// dependency ever becomes available, each analyzer ports to the real
+// framework by swapping this import path.
 package analysis
 
 import (
@@ -28,8 +26,7 @@ type Analyzer struct {
 }
 
 // Pass carries one type-checked package through one analyzer. All fields
-// mirror golang.org/x/tools/go/analysis.Pass; Facts is this framework's
-// simplified stand-in for the upstream facts mechanism (see FactStore).
+// mirror golang.org/x/tools/go/analysis.Pass.
 type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
@@ -37,51 +34,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	Report    func(Diagnostic)
-
-	// Facts is the cross-package fact store shared by every pass of one
-	// driver run. Nil is legal: ExportFact then creates a pass-private
-	// store, so a standalone single-package pass still works (it simply
-	// cannot see facts from other packages).
-	Facts *FactStore
-}
-
-// FactStore carries analyzer-scoped key→value facts across the packages of
-// one driver run. It replaces the upstream framework's typed, serialized
-// object facts with the minimal thing the offline suite needs: the driver
-// analyzes packages in dependency order (loader.Load guarantees it), an
-// analyzer running on a dependency exports facts under stable string keys
-// (e.g. "pkg/path.Type.Field"), and the same analyzer running on an
-// importer reads them back. Facts are namespaced per analyzer, so two
-// analyzers can use the same key without colliding.
-type FactStore struct {
-	m map[factKey]any
-}
-
-type factKey struct{ analyzer, key string }
-
-// NewFactStore returns an empty store for one driver run.
-func NewFactStore() *FactStore {
-	return &FactStore{m: make(map[factKey]any)}
-}
-
-// ExportFact records value under key in the pass's analyzer namespace,
-// overwriting any previous value for the key.
-func (p *Pass) ExportFact(key string, value any) {
-	if p.Facts == nil {
-		p.Facts = NewFactStore()
-	}
-	p.Facts.m[factKey{p.Analyzer.Name, key}] = value
-}
-
-// ImportFact returns the fact recorded under key by this pass's analyzer
-// during any earlier (or the current) package's pass of the same driver
-// run.
-func (p *Pass) ImportFact(key string) (any, bool) {
-	if p.Facts == nil {
-		return nil, false
-	}
-	v, ok := p.Facts.m[factKey{p.Analyzer.Name, key}]
-	return v, ok
 }
 
 // Diagnostic is one reported problem.

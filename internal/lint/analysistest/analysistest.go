@@ -43,11 +43,6 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, patterns ...string) {
 	if len(pkgs) == 0 {
 		t.Fatalf("no fixture packages matched %v", patterns)
 	}
-	// One fact store for the whole fixture module: the loader returns
-	// packages dependency-first, so facts exported by a declaring package
-	// are visible to the fixture packages importing it, exactly as in the
-	// real driver.
-	facts := analysis.NewFactStore()
 	for _, pkg := range pkgs {
 		wants := collectWants(t, pkg)
 		var unexpected []string
@@ -57,7 +52,6 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, patterns ...string) {
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,
-			Facts:     facts,
 		}
 		pass.Report = func(d analysis.Diagnostic) {
 			pos := pkg.Fset.Position(d.Pos)

@@ -22,7 +22,6 @@ import (
 	"sort"
 	"strings"
 
-	"valuepred/internal/lint/aliaslint"
 	"valuepred/internal/lint/analysis"
 	"valuepred/internal/lint/ctxlint"
 	"valuepred/internal/lint/detlint"
@@ -30,19 +29,16 @@ import (
 	"valuepred/internal/lint/errlint"
 	"valuepred/internal/lint/keyedlint"
 	"valuepred/internal/lint/loader"
-	"valuepred/internal/lint/poollint"
 )
 
 // Analyzers returns the full vplint suite in reporting order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		aliaslint.Analyzer,
 		ctxlint.Analyzer,
 		detlint.Analyzer,
 		doclint.Analyzer,
 		errlint.Analyzer,
 		keyedlint.Analyzer,
-		poollint.Analyzer,
 	}
 }
 
@@ -62,24 +58,18 @@ func (d Diagnostic) String() string {
 }
 
 // Run loads the packages matched by patterns relative to dir, applies the
-// given analyzers, filters out suppressed findings and returns the rest —
-// plus one diagnostic per malformed suppression directive — sorted by
-// position. Packages are analyzed in dependency order and share one fact
-// store, so analyzers see facts exported by the packages a target imports.
-func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Diagnostic, error) {
+// full suite, filters out suppressed findings and returns the rest — plus
+// one diagnostic per malformed suppression directive — sorted by position.
+func Run(dir string, patterns []string) ([]Diagnostic, error) {
 	pkgs, err := loader.Load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	// Directive validation is checked against the full suite, not the
-	// possibly -only-filtered selection: a directive naming a deselected
-	// analyzer is fine, one naming a nonexistent analyzer is a typo that
-	// would silently suppress nothing.
+	analyzers := Analyzers()
 	known := make(map[string]bool)
-	for _, a := range Analyzers() {
+	for _, a := range analyzers {
 		known[a.Name] = true
 	}
-	facts := analysis.NewFactStore()
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		sup, bad := suppressions(pkg, known)
@@ -91,7 +81,6 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Diagn
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
-				Facts:     facts,
 			}
 			pass.Report = func(d analysis.Diagnostic) {
 				pos := pkg.Fset.Position(d.Pos)

@@ -21,7 +21,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -44,7 +43,6 @@ type listPackage struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
-	Imports    []string
 	Export     string
 	DepOnly    bool
 	Error      *struct{ Err string }
@@ -55,17 +53,15 @@ type listPackage struct {
 // lint contract covers shipped simulator code, and `go vet` already runs
 // over the tests in the same `make check` gate.
 //
-// Packages are returned in dependency order — every package sorts after
-// the packages it imports (ties broken by import path) — so a driver that
-// walks the slice front to back sees a package only after all of its
-// analyzed dependencies. Cross-package analysis facts (see
-// internal/lint/analysis.FactStore) rely on this ordering.
+// Packages are returned in `go list -deps` order, dependencies first.
+// Every analyzer checks one package at a time and lint.Run sorts its
+// diagnostics by position, so nothing depends on that order.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	args := append([]string{"list", "-deps", "-export",
-		"-json=ImportPath,Dir,GoFiles,Imports,Export,DepOnly,Error"}, patterns...)
+		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	// GOWORK=off keeps a workspace file in a parent directory from pulling
@@ -98,7 +94,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			targets = append(targets, p)
 		}
 	}
-	targets = sortDeps(targets)
 
 	fset := token.NewFileSet()
 	lookup := func(path string) (io.ReadCloser, error) {
@@ -145,40 +140,4 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		})
 	}
 	return pkgs, nil
-}
-
-// sortDeps orders targets dependency-first: a package appears after every
-// target it (transitively) imports. The walk visits packages in import-path
-// order and each package's imports in sorted order, so the result is
-// deterministic for a given package set regardless of `go list` output
-// order.
-func sortDeps(targets []listPackage) []listPackage {
-	byPath := make(map[string]*listPackage, len(targets))
-	paths := make([]string, 0, len(targets))
-	for i := range targets {
-		byPath[targets[i].ImportPath] = &targets[i]
-		paths = append(paths, targets[i].ImportPath)
-	}
-	sort.Strings(paths)
-
-	sorted := make([]listPackage, 0, len(targets))
-	visited := make(map[string]bool, len(targets))
-	var visit func(path string)
-	visit = func(path string) {
-		p, ok := byPath[path]
-		if !ok || visited[path] {
-			return // not a target (dep-only, stdlib) or already placed
-		}
-		visited[path] = true
-		imports := append([]string(nil), p.Imports...)
-		sort.Strings(imports)
-		for _, imp := range imports {
-			visit(imp)
-		}
-		sorted = append(sorted, *p)
-	}
-	for _, path := range paths {
-		visit(path)
-	}
-	return sorted
 }

@@ -1,12 +1,10 @@
 // Package scope is the lint suite's single scoping registry: one table
-// mapping each enforcement contract to the internal packages it binds.
-// Before this package existed, detlint, errlint and their successors each
-// carried a private hand-maintained package map, and every new simulator
-// package (plan in PR 5, the pooled scratches in PR 6) had to be added to
-// each map separately — a drift-prone ritual that TestRegistryCoversInternal
-// now makes impossible to forget: every internal/* package must either be a
-// member of at least one contract here or be listed in Exempt with a
-// reason.
+// mapping each enforcement contract (Determinism, Errors, Ctx) to the
+// internal packages it binds. detlint, errlint and ctxlint scope
+// themselves by it instead of each carrying a private package map, and
+// TestRegistryCoversInternal makes a new package impossible to forget:
+// every internal/* package must either be a member of at least one
+// contract here or be listed in Exempt with a reason.
 package scope
 
 import "strings"
@@ -16,17 +14,11 @@ import "strings"
 // (doclint, keyedlint) need no entry.
 const (
 	// Determinism binds the simulation packages whose outputs must be
-	// bit-reproducible (detlint), and which therefore also carry the
-	// pooled-scratch hygiene rules (poollint): nondeterministic pool reuse
-	// is just another way to break reproducibility.
+	// bit-reproducible (detlint).
 	Determinism = "determinism"
 	// Errors binds the result-integrity packages whose error returns must
 	// be consumed (errlint).
 	Errors = "errors"
-	// Alias binds the zero-copy packages where view-marked slices
-	// (//lint:view) alias the shared immutable trace and must be treated
-	// as read-only (aliaslint).
-	Alias = "alias"
 	// Ctx binds the request/cell-path packages where cancellation is
 	// cooperative and context discipline is enforced (ctxlint).
 	Ctx = "ctx"
@@ -46,10 +38,6 @@ var sets = map[string]map[string]bool{
 	Errors: {
 		"stats": true, "tracestore": true, "experiment": true, "plan": true,
 		"jobs": true,
-	},
-	Alias: {
-		"fetch": true, "core": true, "ideal": true, "pipeline": true,
-		"chunk": true,
 	},
 	Ctx: {
 		"serve": true, "plan": true, "experiment": true, "jobs": true,

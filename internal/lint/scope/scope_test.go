@@ -21,9 +21,6 @@ func TestMember(t *testing.T) {
 		{Determinism, "valuepred/cmd/vpsim", false},
 		{Errors, "valuepred/internal/stats", true},
 		{Errors, "valuepred/internal/fetch", false},
-		{Alias, "valuepred/internal/fetch", true},
-		{Alias, "valuepred/internal/core", true},
-		{Alias, "valuepred/internal/trace", false},
 		{Ctx, "valuepred/internal/serve", true},
 		{Ctx, "valuepred/internal/experiment", true},
 		{Ctx, "valuepred/internal/ideal", false},

@@ -20,6 +20,7 @@ import (
 // worker), so a worker reuses them cell after cell. A scratch is fully
 // reset at acquisition (table emptied, ring zeroed, buffers truncated,
 // capacity kept) and owned by one run until the matching Put.
+// TestScratchResetLeavesNoState pins the reset.
 type scratch struct {
 	stores storeTable  // in-flight store address → execute cycle of its latest store
 	ring   []slot      // backing array of the run's clock ring
@@ -33,11 +34,17 @@ var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
 // window of window records, with exclusive ownership.
 func getScratch(window int) *scratch {
 	s := scratchPool.Get().(*scratch)
+	s.reset(window)
+	return s
+}
+
+// reset readies s for a run with a window of window records. The literal
+// names only the fields whose capacity is kept, so every other field, one
+// added later included, starts at zero.
+func (s *scratch) reset(window int) {
+	*s = scratch{stores: s.stores, ring: s.ring, pcs: s.pcs[:0], group: s.group[:0]}
 	s.stores.reset(window)
 	clear(s.ring)
-	s.pcs = s.pcs[:0]
-	s.group = s.group[:0]
-	return s
 }
 
 // putScratch returns s to the pool. The caller must not touch s afterwards.
@@ -68,15 +75,15 @@ type storeTable struct {
 type storeSlot struct{ addr, exec uint64 }
 
 // reset empties t and gives it at least 4×window slots, a power of two.
+// Like scratch.reset, it keeps only the capacity of the fields it names.
 func (t *storeTable) reset(window int) {
-	if size := max(64, 4*window); len(t.slots) < size {
-		log := bits.Len(uint(size - 1))
-		t.slots, t.shift = make([]storeSlot, 1<<log), uint(64-log)
+	slots := t.slots
+	if size := max(64, 4*window); len(slots) < size {
+		slots = make([]storeSlot, 1<<bits.Len(uint(size-1)))
 	} else {
-		clear(t.slots)
+		clear(slots)
 	}
-	t.n = 0
-	t.keep = t.keep[:0]
+	*t = storeTable{slots: slots, shift: uint(64 - bits.TrailingZeros(uint(len(slots)))), keep: t.keep[:0]}
 }
 
 // home returns addr's first probe slot.

@@ -22,8 +22,10 @@ import (
 // this process can offer; the later passes run on scratches dirtied by
 // the pass before — filled store tables, grown cycle rings and lookup
 // buffers. Any stale scratch state leaking between cells shows up as a
-// diff; under `make race` the same hammer doubles as a data-race probe on
-// the pool itself. Both machines draw from the pipeline's one scratch
+// diff. Under `make race` it also probes the pool for data races, though
+// it caught a use after Put in only some runs; internal/pipeline's
+// TestScratchIsNotUsedAfterPut is the dedicated probe for that. Both
+// machines draw from the pipeline's one scratch
 // pool: fig3.1 dirties it through RunPerfectFetch (the store table
 // and cycle ring), fig5.3 through Run (the same two plus the network PC
 // buffer) and reuses the network's group buffers. The group buffer

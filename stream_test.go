@@ -2,6 +2,7 @@ package valuepred
 
 import (
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,11 +15,16 @@ import (
 
 // TestStreamedTablesMatchMaterialized is the byte-identity contract of the
 // streaming trace pipeline (DESIGN.md §13): for EVERY registered
-// experiment, the table rendered from compressed chunk streams must equal
-// the table rendered from materialized flat traces, byte for byte, at
-// worker widths 1 and 8. The sweep covers all three fetch engines, the
-// ideal machine, the dataflow analyses, profiling over a trace prefix and
-// the predictor evaluations — every consumer the streaming seam rewired.
+// experiment, the tables rendered from compressed chunk streams and from
+// materialized flat traces at worker widths 1 and 8 must all be equal,
+// byte for byte. The sweep covers all three fetch engines, the ideal
+// machine, the dataflow analyses, profiling over a trace prefix and the
+// predictor evaluations — every consumer the streaming seam rewired.
+//
+// It also holds every view of a shared trace read-only: each workload's
+// cached flat trace must still hold the same records, in the same backing
+// array, after all four renders. A write through a fetch group, a slice
+// source's view or trace.ForEach fails here even when no table moves.
 func TestStreamedTablesMatchMaterialized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders every experiment four times")
@@ -27,6 +33,16 @@ func TestStreamedTablesMatchMaterialized(t *testing.T) {
 	p.TraceLen = 3_000
 	p.Workloads = []string{"compress95", "li"}
 	p.Store = tracestore.New(0)
+
+	cached := make(map[string][]trace.Rec)
+	saved := make(map[string][]trace.Rec)
+	for _, w := range p.Workloads {
+		recs, err := p.Store.Get(w, p.Seed, p.TraceLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached[w], saved[w] = recs, slices.Clone(recs)
+	}
 
 	var ids []string
 	for _, e := range Experiments() {
@@ -54,12 +70,31 @@ func TestStreamedTablesMatchMaterialized(t *testing.T) {
 	}
 
 	want := render(false, 1)
-	for _, workers := range []int{1, 8} {
-		got := render(true, workers)
+	for _, run := range []struct {
+		stream  bool
+		workers int
+	}{{false, 8}, {true, 1}, {true, 8}} {
+		got := render(run.stream, run.workers)
 		for _, id := range ids {
 			if got[id] != want[id] {
-				t.Errorf("%s: streamed table (workers=%d) differs from materialized:\n%s",
-					id, workers, firstDiff(want[id], got[id]))
+				t.Errorf("%s: table (stream=%v, workers=%d) differs from the flat one at workers=1:\n%s",
+					id, run.stream, run.workers, firstDiff(want[id], got[id]))
+			}
+		}
+	}
+
+	for _, w := range p.Workloads {
+		recs, err := p.Store.Get(w, p.Seed, p.TraceLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &recs[0] != &cached[w][0] {
+			t.Fatalf("%s: the store no longer holds the trace the renders read", w)
+		}
+		for i := range recs {
+			if recs[i] != saved[w][i] {
+				t.Errorf("%s: cached record %d was written during the renders: now %+v, was %+v", w, i, recs[i], saved[w][i])
+				break
 			}
 		}
 	}
