@@ -1,7 +1,8 @@
 // Package chunk implements the streaming trace pipeline (DESIGN.md §13):
 // fixed-size reusable chunks of decoded trace records, immutable compressed
-// chunk sequences for the tracestore, and bounded sliding windows for the
-// fetch engines. It replaces "materialize the whole trace as one flat
+// chunk sequences for the tracestore, cursors that lend their decoded
+// records in place, and a shared read that lends each to several
+// consumers. It replaces "materialize the whole trace as one flat
 // []trace.Rec" with "hold at most a few chunks in flight", which bounds a
 // simulation's peak memory by the chunk-pool size instead of the trace
 // length and makes paper-scale (100M-instruction) runs practical.
@@ -28,10 +29,9 @@
 //     the source's next view only once every live consumer has asked past
 //     the current one. The consumers take turns on their goroutines, so
 //     no two ever read at once, and none may write through a view.
-//   - A Window owns its buffer and lends callers read-only views of it
-//     (View); a view is valid only until the next Mark, mirroring the
-//     fetch.Group.Recs contract. It copies a viewing source's records
-//     into its buffer in bulk, so it holds no view of the source.
+//
+// The machines read a cursor or a consumer source through a trace.Window,
+// which copies only the records that must outlive a view.
 package chunk
 
 import (

@@ -176,80 +176,6 @@ func TestBuildShortSource(t *testing.T) {
 	}
 }
 
-// TestWindowMatchesSlice drives a Window with the mark/peek/advance/view
-// pattern the fetch engines use and checks every view against the flat
-// slice, including peeks that cross chunk boundaries and one group that
-// outgrows the initial window capacity. It runs over a cursor, which the
-// window fills from in bulk, and over the same cursor behind the bare
-// Source interface, which the window fills from one record at a time.
-func TestWindowMatchesSlice(t *testing.T) {
-	recs := synth(10_000)
-	q, err := Build(trace.NewSliceSource(recs), len(recs), 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, src := range []struct {
-		name string
-		src  trace.Source
-	}{
-		{"viewing", NewCursor(q, len(recs))},
-		{"bare", struct{ trace.Source }{NewCursor(q, len(recs))}},
-	} {
-		t.Run(src.name, func(t *testing.T) { checkWindow(t, NewWindow(src.src), recs) })
-	}
-}
-
-// checkWindow drains w with the fetch engines' access pattern and checks
-// every peek and view against recs.
-func checkWindow(t *testing.T, w *Window, recs []trace.Rec) {
-	pos := 0
-	group := 0
-	for !w.EOF() {
-		w.Mark()
-		// Group sizes cycle 1..40, with one giant group (> windowCap) to
-		// force the growth path.
-		want := group%40 + 1
-		if group == 50 {
-			want = windowCap + 77
-		}
-		took := 0
-		for took < want {
-			r, ok := w.Peek(0)
-			if !ok {
-				break
-			}
-			if r != recs[pos+took] {
-				t.Fatalf("group %d: peek(0) at %d = %+v, want %+v", group, pos+took, r, recs[pos+took])
-			}
-			// Occasionally peek ahead like the trace cache does.
-			if k := took % 5; pos+took+k < len(recs) {
-				if rk, ok := w.Peek(k); !ok || rk != recs[pos+took+k] {
-					t.Fatalf("group %d: peek(%d) mismatch at %d", group, k, pos+took)
-				}
-			}
-			w.Advance(1)
-			took++
-		}
-		view := w.View()
-		if len(view) != took {
-			t.Fatalf("group %d: view len %d, want %d", group, len(view), took)
-		}
-		for i, r := range view {
-			if r != recs[pos+i] {
-				t.Fatalf("group %d: view[%d] mismatch", group, i)
-			}
-		}
-		if cap(view) != len(view) {
-			t.Fatalf("group %d: view not capacity-capped: cap %d len %d", group, cap(view), len(view))
-		}
-		pos += took
-		group++
-	}
-	if pos != len(recs) {
-		t.Fatalf("consumed %d records, want %d", pos, len(recs))
-	}
-}
-
 // TestChunkResetLeavesNoState pins getChunk's reset without going through
 // sync.Pool: a chunk dirtied to full capacity comes back holding no
 // record, with its capacity kept. Every other field of Chunk, one added

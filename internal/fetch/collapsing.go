@@ -13,7 +13,7 @@ import (
 // branch — and a collapsing buffer merges the valid instructions of both
 // lines into one fetch group.
 type CollapsingBuffer struct {
-	s     stream
+	w     *trace.Window
 	c     ctrl
 	stats Stats
 	obs   *obs.Sink
@@ -25,12 +25,10 @@ const (
 )
 
 // NewCollapsingBufferSource returns a collapsing-buffer engine over a
-// streaming record source: memory stays O(window) at any trace length,
-// and delivered Group.Recs views are valid only until the next NextGroup
-// call (see Group). A *trace.SliceSource is detected and unwrapped to the
-// zero-copy flat path.
+// record source, which it reads through a trace.Window: memory stays
+// O(window) at any trace length.
 func NewCollapsingBufferSource(src trace.Source, bp btb.Predictor) *CollapsingBuffer {
-	return &CollapsingBuffer{s: newStream(src), c: ctrl{bp: bp}}
+	return &CollapsingBuffer{w: trace.NewWindow(src), c: ctrl{bp: bp}}
 }
 
 // Stats implements Engine.
@@ -49,18 +47,18 @@ func (e *CollapsingBuffer) lineEnd(pc uint64) uint64 {
 // Instructions are delivered until the last permitted line is exhausted
 // or a misprediction occurs.
 func (e *CollapsingBuffer) NextGroup(maxInsts int) (Group, bool) {
-	if e.s.eof() {
+	e.w.Mark()
+	if e.w.Peek(0) == nil {
 		return Group{}, false
 	}
 	e.stats.Cycles++
 	var g Group
-	start := e.s.mark()
 	linesUsed := 0
 	var end uint64
 	newLine := true
-	for e.s.pos-start < maxInsts {
-		rec, ok := e.s.peek(0)
-		if !ok {
+	for n := 0; n < maxInsts; {
+		rec := e.w.Peek(0)
+		if rec == nil {
 			break
 		}
 		if newLine {
@@ -77,27 +75,26 @@ func (e *CollapsingBuffer) NextGroup(maxInsts int) (Group, bool) {
 			newLine = true
 			continue
 		}
-		if rec.Op.IsControl() {
-			correct := e.c.fetchControl(rec)
-			if counted(rec) {
-				e.stats.Predictions++
-			}
-			e.s.advance(1)
-			if !correct {
-				e.stats.Mispredicts++
-				g.Mispredict = true
-				break
-			}
-			if rec.Taken {
-				// Redirect: the target lies in another (noncontiguous)
-				// line.
-				newLine = true
-			}
+		e.w.Advance(1)
+		n++
+		if !rec.Op.IsControl() {
 			continue
 		}
-		e.s.advance(1)
+		correct := e.c.fetchControl(rec)
+		if counted(rec) {
+			e.stats.Predictions++
+		}
+		if !correct {
+			e.stats.Mispredicts++
+			g.Mispredict = true
+			break
+		}
+		if rec.Taken {
+			// Redirect: the target lies in another (noncontiguous) line.
+			newLine = true
+		}
 	}
-	g.Recs = e.s.view(start)
+	g.Recs = e.w.View()
 	e.stats.Insts += uint64(len(g.Recs))
 	e.stats.CoreInsts += uint64(len(g.Recs))
 	if e.obs != nil {

@@ -12,7 +12,6 @@ package fetch
 
 import (
 	"valuepred/internal/btb"
-	"valuepred/internal/chunk"
 	"valuepred/internal/isa"
 	"valuepred/internal/obs"
 	"valuepred/internal/trace"
@@ -20,18 +19,12 @@ import (
 
 // Group is the set of instructions delivered in one fetch cycle.
 type Group struct {
-	// Recs are correct-path instructions, in program order. The slice is a
-	// read-only view aliasing the engine's underlying trace (DESIGN.md §12
-	// "Memory discipline" and §13 "Streaming traces"): engines deliver
-	// contiguous windows of the record stream instead of copying, so a
-	// group costs no allocation. Callers must not modify the elements. The
-	// view's lifetime depends on how the engine was built: over a flat
-	// trace (NewSequential etc.) it stays valid for as long as the trace
-	// does; over a streaming Source (NewSequentialSource etc.) it is valid
-	// only until the next NextGroup call, which may reuse the window
-	// buffer behind it. pipeline.Run reads each record before its next
-	// NextGroup call and keeps none, so it satisfies the stricter contract
-	// already. The view is capacity-capped, so an append copies it
+	// Recs are correct-path instructions, in program order: a read-only
+	// view of the engine's trace.Window (DESIGN.md §12 "Memory
+	// discipline"), which lends the source's records in place where it
+	// can, valid until the next NextGroup call. pipeline.Run reads each
+	// record in the cycle that fetches it and keeps none. The view is
+	// capacity-capped, so an append copies it
 	// (TestGroupsAreCapacityCapped), and the root package's
 	// TestStreamedTablesMatchMaterialized fails on any write through it.
 	Recs []trace.Rec
@@ -48,7 +41,7 @@ type Group struct {
 type Engine interface {
 	// NextGroup returns up to maxInsts instructions. ok=false signals end
 	// of trace (an empty group with ok=true is a legal stall cycle).
-	// g.Recs is a read-only view into the engine's trace — see Group.
+	// g.Recs is valid until the next call — see Group.
 	NextGroup(maxInsts int) (g Group, ok bool)
 	// Stats returns cumulative fetch statistics.
 	Stats() Stats
@@ -90,72 +83,6 @@ func (s Stats) TCHitRate() float64 {
 	return float64(s.TCHits) / float64(s.TCLookups)
 }
 
-// stream is a cursor over the committed trace. It runs in one of two
-// modes: flat (recs holds the whole trace, views are zero-copy subslices
-// of it) or streaming (win buffers a bounded window of a trace.Source,
-// views alias the window and live only until its next mark). Engines are
-// written against this one API and are bit-identical across the modes.
-type stream struct {
-	recs []trace.Rec   // flat mode: the trace; nil in streaming mode
-	win  *chunk.Window // streaming mode: the bounded window; nil in flat mode
-	pos  int           // logical records consumed (maintained in both modes)
-}
-
-// newStream picks the mode for src: a SliceSource recovers the zero-copy
-// flat path (materialized traces lose nothing by arriving as a Source);
-// anything else is wrapped in a bounded window.
-func newStream(src trace.Source) stream {
-	if ss, ok := src.(*trace.SliceSource); ok {
-		return stream{recs: ss.Recs()}
-	}
-	return stream{win: chunk.NewWindow(src)}
-}
-
-func (s *stream) peek(k int) (trace.Rec, bool) {
-	if s.win != nil {
-		return s.win.Peek(k)
-	}
-	if s.pos+k >= len(s.recs) {
-		return trace.Rec{}, false
-	}
-	return s.recs[s.pos+k], true
-}
-
-func (s *stream) advance(n int) {
-	if s.win != nil {
-		s.win.Advance(n)
-	}
-	s.pos += n
-}
-
-// mark pins the current position as the start of the next view and
-// returns it. In streaming mode this also releases everything before the
-// position for buffer reuse — which is what limits a previously returned
-// view's lifetime to the next mark.
-func (s *stream) mark() int {
-	if s.win != nil {
-		s.win.Mark()
-	}
-	return s.pos
-}
-
-// view returns the records consumed since start — which must be the value
-// of the most recent mark — as a read-only, capacity-capped window (no
-// copy; callers cannot append into the backing storage through it).
-func (s *stream) view(start int) []trace.Rec {
-	if s.win != nil {
-		return s.win.View()
-	}
-	return s.recs[start:s.pos:s.pos]
-}
-
-func (s *stream) eof() bool {
-	if s.win != nil {
-		return s.win.EOF()
-	}
-	return s.pos >= len(s.recs)
-}
-
 // rasSize bounds the return-address stack depth (a standard companion of a
 // BTB; recursion deeper than this falls back to BTB target prediction).
 const rasSize = 32
@@ -170,17 +97,17 @@ type ctrl struct {
 	ras []uint64
 }
 
-func isReturn(rec trace.Rec) bool {
+func isReturn(rec *trace.Rec) bool {
 	return rec.Op == isa.JALR && rec.Rd == 0 && rec.Rs1 == isa.RA
 }
 
-func isCall(rec trace.Rec) bool {
+func isCall(rec *trace.Rec) bool {
 	return (rec.Op == isa.JAL || rec.Op == isa.JALR) && rec.Rd == isa.RA
 }
 
 // direction returns the predicted direction without changing any state
 // (used by the trace cache's line-selection phase).
-func (c *ctrl) direction(rec trace.Rec) bool {
+func (c *ctrl) direction(rec *trace.Rec) bool {
 	if rec.Op.IsJump() {
 		return true
 	}
@@ -189,7 +116,7 @@ func (c *ctrl) direction(rec trace.Rec) bool {
 
 // fetchControl predicts and trains for one fetched control instruction,
 // returning whether the prediction fully matched (direction and target).
-func (c *ctrl) fetchControl(rec trace.Rec) (correct bool) {
+func (c *ctrl) fetchControl(rec *trace.Rec) (correct bool) {
 	defer func() {
 		if isCall(rec) {
 			if len(c.ras) == rasSize {
@@ -225,13 +152,13 @@ func (c *ctrl) fetchControl(rec trace.Rec) (correct bool) {
 
 // counted reports whether the control instruction counts as a prediction in
 // the statistics (JAL is free).
-func counted(rec trace.Rec) bool { return rec.Op != isa.JAL }
+func counted(rec *trace.Rec) bool { return rec.Op != isa.JAL }
 
 // Sequential is the conventional fetch engine: contiguous fetch that may
 // continue through not-taken branches and up to MaxTaken taken control
 // transfers per cycle.
 type Sequential struct {
-	s        stream
+	w        *trace.Window
 	c        ctrl
 	maxTaken int // < 0 means unlimited
 	stats    Stats
@@ -241,16 +168,14 @@ type Sequential struct {
 // NewSequential returns a sequential fetch engine over recs. maxTaken < 0
 // lifts the taken-branch limit.
 func NewSequential(recs []trace.Rec, bp btb.Predictor, maxTaken int) *Sequential {
-	return &Sequential{s: stream{recs: recs}, c: ctrl{bp: bp}, maxTaken: maxTaken}
+	return NewSequentialSource(trace.NewSliceSource(recs), bp, maxTaken)
 }
 
-// NewSequentialSource is NewSequential over a streaming record source:
-// the engine holds a bounded window of the trace instead of all of it, so
-// memory stays O(window) at any trace length. Delivered Group.Recs views
-// are valid only until the next NextGroup call (see Group). A
-// *trace.SliceSource is detected and unwrapped to the zero-copy flat path.
+// NewSequentialSource is NewSequential over a record source, which the
+// engine reads through a trace.Window: memory stays O(window) at any
+// trace length.
 func NewSequentialSource(src trace.Source, bp btb.Predictor, maxTaken int) *Sequential {
-	return &Sequential{s: newStream(src), c: ctrl{bp: bp}, maxTaken: maxTaken}
+	return &Sequential{w: trace.NewWindow(src), c: ctrl{bp: bp}, maxTaken: maxTaken}
 }
 
 // Stats implements Engine.
@@ -258,40 +183,39 @@ func (e *Sequential) Stats() Stats { return e.stats }
 
 // NextGroup implements Engine.
 func (e *Sequential) NextGroup(maxInsts int) (Group, bool) {
-	if e.s.eof() {
+	e.w.Mark()
+	if e.w.Peek(0) == nil {
 		return Group{}, false
 	}
 	e.stats.Cycles++
 	var g Group
-	start := e.s.mark()
 	taken := 0
-	for e.s.pos-start < maxInsts {
-		rec, ok := e.s.peek(0)
-		if !ok {
+	for n := 0; n < maxInsts; n++ {
+		rec := e.w.Peek(0)
+		if rec == nil {
 			break
 		}
-		if rec.Op.IsControl() {
-			correct := e.c.fetchControl(rec)
-			if counted(rec) {
-				e.stats.Predictions++
-			}
-			e.s.advance(1)
-			if !correct {
-				e.stats.Mispredicts++
-				g.Mispredict = true
-				break
-			}
-			if rec.Taken {
-				taken++
-				if e.maxTaken >= 0 && taken >= e.maxTaken {
-					break
-				}
-			}
+		e.w.Advance(1)
+		if !rec.Op.IsControl() {
 			continue
 		}
-		e.s.advance(1)
+		correct := e.c.fetchControl(rec)
+		if counted(rec) {
+			e.stats.Predictions++
+		}
+		if !correct {
+			e.stats.Mispredicts++
+			g.Mispredict = true
+			break
+		}
+		if rec.Taken {
+			taken++
+			if e.maxTaken >= 0 && taken >= e.maxTaken {
+				break
+			}
+		}
 	}
-	g.Recs = e.s.view(start)
+	g.Recs = e.w.View()
 	e.stats.Insts += uint64(len(g.Recs))
 	e.stats.CoreInsts += uint64(len(g.Recs))
 	if e.obs != nil {

@@ -1,6 +1,7 @@
 package fetch
 
 import (
+	"slices"
 	"testing"
 
 	"valuepred/internal/asm"
@@ -33,6 +34,8 @@ func loopTrace(t *testing.T, iters, bodyLen int) []trace.Rec {
 	return recs
 }
 
+// drain returns every group e delivers, each with a copy of its records,
+// since a group's view is valid only until the next NextGroup.
 func drain(t *testing.T, e Engine, maxInsts int) []Group {
 	t.Helper()
 	var groups []Group
@@ -41,6 +44,7 @@ func drain(t *testing.T, e Engine, maxInsts int) []Group {
 		if !ok {
 			return groups
 		}
+		g.Recs = slices.Clone(g.Recs)
 		groups = append(groups, g)
 		if len(groups) > 1_000_000 {
 			t.Fatal("fetch engine never terminates")
@@ -179,7 +183,7 @@ func TestRASPredictsReturns(t *testing.T) {
 	e := NewSequential(recs, btb.NewTwoLevel(btb.DefaultTwoLevelConfig()), -1)
 	for _, g := range drain(t, e, 64) {
 		if g.Mispredict {
-			last := g.Recs[len(g.Recs)-1]
+			last := &g.Recs[len(g.Recs)-1]
 			if isReturn(last) {
 				t.Fatalf("RAS failed to predict return at seq %d", last.Seq)
 			}
@@ -336,7 +340,10 @@ func TestEnginesEOF(t *testing.T) {
 // TestGroupsAreCapacityCapped holds every engine's groups to len == cap,
 // over a flat trace and over a streamed source, so a consumer that appends
 // to g.Recs gets a new array instead of writing into the trace or the
-// window behind the view.
+// window behind the view. Over the flat trace every group must also be
+// the trace itself, lent in place, but for the last records: the window
+// copies those from the mark when it asks the slice past its end, so they
+// are at most one group of 16.
 func TestGroupsAreCapacityCapped(t *testing.T) {
 	recs := workload.MustTrace("gcc", 1, 5_000)
 	seq, err := chunk.Build(trace.NewSliceSource(recs), 0, 512)
@@ -359,7 +366,7 @@ func TestGroupsAreCapacityCapped(t *testing.T) {
 			{"tracecache", NewTraceCacheSource(src.open(), bp(), DefaultTCConfig())},
 			{"collapsing", NewCollapsingBufferSource(src.open(), bp())},
 		} {
-			n := 0
+			n, copied := 0, 0
 			for {
 				g, ok := eng.e.NextGroup(16)
 				if !ok {
@@ -368,10 +375,20 @@ func TestGroupsAreCapacityCapped(t *testing.T) {
 				if cap(g.Recs) != len(g.Recs) {
 					t.Fatalf("%s/%s: group at record %d has len %d but cap %d", src.name, eng.name, n, len(g.Recs), cap(g.Recs))
 				}
+				if src.name == "flat" && len(g.Recs) > 0 {
+					if &g.Recs[0] != &recs[n] {
+						copied += len(g.Recs)
+					} else if copied > 0 {
+						t.Fatalf("%s: group at record %d is lent in place after a copied one", eng.name, n)
+					}
+				}
 				n += len(g.Recs)
 			}
 			if n != len(recs) {
 				t.Errorf("%s/%s: delivered %d of %d records", src.name, eng.name, n, len(recs))
+			}
+			if copied > 16 {
+				t.Errorf("%s/%s: %d records were copied, not lent in place", src.name, eng.name, copied)
 			}
 		}
 	}

@@ -53,7 +53,7 @@ type tcLine struct {
 // against the line's embedded outcomes; misses fall back to the core fetch
 // path, whose delivered instructions feed the fill unit.
 type TraceCache struct {
-	s     stream
+	w     *trace.Window
 	c     ctrl
 	cfg   TCConfig
 	lines []tcLine
@@ -73,21 +73,15 @@ type TraceCache struct {
 
 // NewTraceCache returns a trace-cache engine over recs.
 func NewTraceCache(recs []trace.Rec, bp btb.Predictor, cfg TCConfig) *TraceCache {
-	return newTraceCache(stream{recs: recs}, bp, cfg)
+	return NewTraceCacheSource(trace.NewSliceSource(recs), bp, cfg)
 }
 
-// NewTraceCacheSource is NewTraceCache over a streaming record source: the
-// engine buffers a bounded window (the line-selection phase peeks up to
-// a line's 32 records ahead), so memory stays O(window + lines) at any
-// trace length. Delivered Group.Recs views are valid only until the next
-// NextGroup call (see Group). A *trace.SliceSource is detected and
-// unwrapped to the zero-copy flat path.
+// NewTraceCacheSource is NewTraceCache over a record source, which the
+// engine reads through a trace.Window (the line-selection phase peeks up
+// to a line's 32 records ahead): memory stays O(window + lines) at any
+// trace length.
 func NewTraceCacheSource(src trace.Source, bp btb.Predictor, cfg TCConfig) *TraceCache {
-	return newTraceCache(newStream(src), bp, cfg)
-}
-
-func newTraceCache(s stream, bp btb.Predictor, cfg TCConfig) *TraceCache {
-	return &TraceCache{s: s, c: ctrl{bp: bp}, cfg: cfg, lines: make([]tcLine, tcEntries)}
+	return &TraceCache{w: trace.NewWindow(src), c: ctrl{bp: bp}, cfg: cfg, lines: make([]tcLine, tcEntries)}
 }
 
 // Stats implements Engine.
@@ -97,11 +91,12 @@ func (e *TraceCache) index(pc uint64) *tcLine { return &e.lines[(pc>>2)&(tcEntri
 
 // NextGroup implements Engine.
 func (e *TraceCache) NextGroup(maxInsts int) (Group, bool) {
-	if e.s.eof() {
+	e.w.Mark()
+	head := e.w.Peek(0)
+	if head == nil {
 		return Group{}, false
 	}
 	e.stats.Cycles++
-	head, _ := e.s.peek(0)
 	line := e.index(head.PC)
 	e.stats.TCLookups++
 	if line.valid && line.startPC == head.PC {
@@ -139,8 +134,8 @@ func (e *TraceCache) tryLine(line *tcLine, maxInsts int) (Group, bool, bool) {
 	}
 	partial := false
 	for k := 0; k < n; k++ {
-		rec, ok := e.s.peek(k)
-		if !ok {
+		rec := e.w.Peek(k)
+		if rec == nil {
 			n = k
 			break
 		}
@@ -167,7 +162,7 @@ func (e *TraceCache) tryLine(line *tcLine, maxInsts int) (Group, bool, bool) {
 	g := Group{FromTraceCache: true}
 	cut := 0
 	for k := 0; k < n; k++ {
-		rec, _ := e.s.peek(k)
+		rec := e.w.Peek(k)
 		cut = k + 1
 		if rec.Op.IsControl() {
 			correct := e.c.fetchControl(rec)
@@ -181,9 +176,8 @@ func (e *TraceCache) tryLine(line *tcLine, maxInsts int) (Group, bool, bool) {
 			}
 		}
 	}
-	start := e.s.mark()
-	e.s.advance(cut)
-	g.Recs = e.s.view(start)
+	e.w.Advance(cut)
+	g.Recs = e.w.View()
 	return g, true, partial
 }
 
@@ -193,33 +187,31 @@ func (e *TraceCache) tryLine(line *tcLine, maxInsts int) (Group, bool, bool) {
 func (e *TraceCache) coreFetch(maxInsts int) Group {
 	limit := min(maxInsts, tcCoreMaxInsts)
 	var g Group
-	start := e.s.mark()
-	for e.s.pos-start < limit {
-		rec, ok := e.s.peek(0)
-		if !ok {
+	for n := 0; n < limit; n++ {
+		rec := e.w.Peek(0)
+		if rec == nil {
 			break
 		}
-		if rec.Op.IsControl() {
-			correct := e.c.fetchControl(rec)
-			if counted(rec) {
-				e.stats.Predictions++
-			}
-			e.s.advance(1)
+		e.w.Advance(1)
+		if !rec.Op.IsControl() {
 			e.fill(rec)
-			if !correct {
-				e.stats.Mispredicts++
-				g.Mispredict = true
-				break
-			}
-			if rec.Taken {
-				break
-			}
 			continue
 		}
-		e.s.advance(1)
+		correct := e.c.fetchControl(rec)
+		if counted(rec) {
+			e.stats.Predictions++
+		}
 		e.fill(rec)
+		if !correct {
+			e.stats.Mispredicts++
+			g.Mispredict = true
+			break
+		}
+		if rec.Taken {
+			break
+		}
 	}
-	g.Recs = e.s.view(start)
+	g.Recs = e.w.View()
 	e.stats.Insts += uint64(len(g.Recs))
 	e.stats.CoreInsts += uint64(len(g.Recs))
 	return g
@@ -229,7 +221,7 @@ func (e *TraceCache) coreFetch(maxInsts int) Group {
 // accumulate into a basic block (closed by any control instruction or by
 // reaching the line capacity); closed blocks are appended to the pending
 // line, which is finalised when it is full by instructions or blocks.
-func (e *TraceCache) fill(rec trace.Rec) {
+func (e *TraceCache) fill(rec *trace.Rec) {
 	if len(e.blockBuf) == 0 {
 		e.blockStart = rec.PC
 	}

@@ -376,17 +376,17 @@ func compare(t testing.TB, label string, recs []trace.Rec, cfg Config, newPred f
 }
 
 // runOpaque is Run over src hidden behind the bare Source interface, so
-// the machine reads it record by record into its pooled group buffer, as
-// it does vpbench's timing decorators, instead of viewing the slice.
+// the machine's window reads it a block of Next calls at a time, as it
+// does vpbench's timing decorators, instead of viewing the slice.
 func runOpaque(src trace.Source, cfg Config) (Result, error) {
 	return Run(struct{ trace.Source }{src}, cfg)
 }
 
 // runChunked is Run over a cursor of src compressed into 7-record chunks,
-// so the machine views each group in place, assembles in its group buffer
-// the groups that straddle chunks (every group wider than 7 records does),
-// and ends on a short last chunk unless the trace length is a multiple
-// of 7.
+// so the machine's window lends each group in place, assembles in its own
+// buffer the groups that straddle chunks (every group wider than 7
+// records does), and ends on a short last chunk unless the trace length
+// is a multiple of 7.
 func runChunked(src trace.Source, cfg Config) (Result, error) {
 	q, err := chunk.Build(src, 0, 7)
 	if err != nil {

@@ -1,10 +1,11 @@
 // Package errlint flags discarded error returns from the result-integrity
-// packages: stats, tracestore, experiment and plan. Those errors are the
-// mechanism by which a malformed run fails loudly — AverageTables rejects
-// shape mismatches, the trace store surfaces generation failures, Run
-// reports unknown experiments, the plan runner reports the first failed
-// cell — and a caller that drops one silently converts a detectable
-// corruption into a wrong number in a table.
+// packages: stats, tracestore, experiment, plan and jobs. Those errors are
+// the mechanism by which a malformed run fails loudly — AverageTables
+// rejects shape mismatches, the trace store surfaces generation failures,
+// Run reports unknown experiments, the plan runner reports the first
+// failed cell, a job reports its run's failure — and a caller that drops
+// one silently converts a detectable corruption into a wrong number in a
+// table.
 package errlint
 
 import (
@@ -18,7 +19,7 @@ import (
 // Analyzer is the ignored-error check.
 var Analyzer = &analysis.Analyzer{
 	Name: "errlint",
-	Doc: "flag error returns from the stats, tracestore, experiment and plan packages " +
+	Doc: "flag error returns from the stats, tracestore, experiment, plan and jobs packages " +
 		"that are discarded (call used as a statement, go/defer call, or error " +
 		"result assigned to the blank identifier)",
 	Run: run,

@@ -357,24 +357,18 @@ func Run(eng fetch.Engine, cfg Config) (Result, error) {
 // fetches the next min(free window slots, Width) records of src, so no
 // branch ever stalls fetch and no group ends early. This is the paper's
 // Section 3 ideal machine. It counts no stall cycles and leaves
-// Result.Fetch zero; BranchPenalty has nothing to act on. It reads the
-// groups of a trace.Viewer in place and those of a bare Source into a
-// pooled buffer.
+// Result.Fetch zero; BranchPenalty has nothing to act on. It reads src
+// through a trace.Window, as the fetch engines do.
 func RunPerfectFetch(src trace.Source, cfg Config) (Result, error) {
 	var m machine
 	if err := m.start(cfg); err != nil {
 		return Result{}, err
 	}
 	defer putScratch(m.s)
-	view, viewing := src.(trace.Viewer)
+	w := trace.NewWindow(src)
 	for {
 		if space := min(cfg.WindowSize-m.clk.inflight, cfg.Width); space > 0 {
-			var g []trace.Rec
-			if viewing {
-				g = m.viewGroup(view, space)
-			} else {
-				g = m.readGroup(src, space)
-			}
+			g := w.Take(space)
 			if len(g) == 0 {
 				break
 			}
@@ -385,42 +379,6 @@ func RunPerfectFetch(src trace.Source, cfg Config) (Result, error) {
 		m.clk.tick()
 	}
 	return m.finish()
-}
-
-// viewGroup returns v's next up to n records as v lends them, in place,
-// except a group that straddles two of v's chunks: a short view is copied
-// into the scratch's group buffer before the next View can decode over it
-// or release it, and the group is assembled there.
-func (m *machine) viewGroup(v trace.Viewer, n int) []trace.Rec {
-	g := v.View(n)
-	if len(g) == n || len(g) == 0 {
-		return g
-	}
-	buf := append(m.s.group[:0], g...)
-	for len(buf) < n {
-		more := v.View(n - len(buf))
-		if len(more) == 0 {
-			break
-		}
-		buf = append(buf, more...)
-	}
-	m.s.group = buf
-	return buf
-}
-
-// readGroup reads src's next up to n records into the scratch's group
-// buffer, one Next at a time.
-func (m *machine) readGroup(src trace.Source, n int) []trace.Rec {
-	g := m.s.group[:0]
-	for len(g) < n {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		g = append(g, rec)
-	}
-	m.s.group = g
-	return g
 }
 
 // ingest fetches one group in cycle m.clk.now: it takes the group's

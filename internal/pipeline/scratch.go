@@ -3,29 +3,23 @@ package pipeline
 import (
 	"math/bits"
 	"sync"
-
-	"valuepred/internal/trace"
 )
 
 // This file is the machine's memory discipline (DESIGN.md §12, "Memory
 // discipline"), shared by both entry points and so by the Section 3 and
 // Section 5 machines alike. Run and RunPerfectFetch keep their register
 // producers in an array and hold no window, so the only per-run state they
-// reuse is the table of in-flight stores, the clock ring's backing array,
-// the network lookup buffer and RunPerfectFetch's group buffer, which
-// holds only the groups of a bare Source and those that straddle two
-// chunks of a viewing one (every other group is read in place). Each is
-// bounded by the window or the width, not by the trace. They come from a
-// process-wide sync.Pool, which caches per-P (effectively per plan
-// worker), so a worker reuses them cell after cell. A scratch is fully
-// reset at acquisition (table emptied, ring zeroed, buffers truncated,
-// capacity kept) and owned by one run until the matching Put.
-// TestScratchResetLeavesNoState pins the reset.
+// reuse is the table of in-flight stores, the clock ring's backing array
+// and the network lookup buffer. Each is bounded by the window or the
+// width, not by the trace. They come from a process-wide sync.Pool, which
+// caches per-P (effectively per plan worker), so a worker reuses them cell
+// after cell. A scratch is fully reset at acquisition (table emptied, ring
+// zeroed, buffer truncated, capacity kept) and owned by one run until the
+// matching Put. TestScratchResetLeavesNoState pins the reset.
 type scratch struct {
-	stores storeTable  // in-flight store address → execute cycle of its latest store
-	ring   []slot      // backing array of the run's clock ring
-	pcs    []uint64    // ingest's per-group network lookup buffer
-	group  []trace.Rec // RunPerfectFetch's group from a bare Source, or straddling two chunks
+	stores storeTable // in-flight store address → execute cycle of its latest store
+	ring   []slot     // backing array of the run's clock ring
+	pcs    []uint64   // ingest's per-group network lookup buffer
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
@@ -42,7 +36,7 @@ func getScratch(window int) *scratch {
 // names only the fields whose capacity is kept, so every other field, one
 // added later included, starts at zero.
 func (s *scratch) reset(window int) {
-	*s = scratch{stores: s.stores, ring: s.ring, pcs: s.pcs[:0], group: s.group[:0]}
+	*s = scratch{stores: s.stores, ring: s.ring, pcs: s.pcs[:0]}
 	s.stores.reset(window)
 	clear(s.ring)
 }

@@ -67,9 +67,9 @@ type Source interface {
 }
 
 // Viewer is a Source that can lend its records in place instead of
-// copying them out one by one. *SliceSource and the chunk cursor
-// (internal/chunk) are Viewers; RunPerfectFetch (internal/pipeline) and
-// the fetch engines' streaming window read them through View.
+// copying them out one by one. *SliceSource, the chunk cursor and the
+// consumer sources of a shared read (internal/chunk) are Viewers; a
+// Window and ForEach read them through View.
 type Viewer interface {
 	Source
 	// View returns and consumes up to n next records as a read-only,
@@ -102,8 +102,8 @@ func (s *SliceSource) Next() (Rec, bool) {
 
 var _ Viewer = (*SliceSource)(nil)
 
-// View implements Viewer. The view aliases the source's backing slice, as
-// Recs does, so it stays valid as long as that slice does.
+// View implements Viewer. The view aliases the source's backing slice, so
+// it stays valid as long as that slice does.
 func (s *SliceSource) View(n int) []Rec {
 	n = min(max(n, 0), len(s.recs)-s.pos)
 	v := s.recs[s.pos : s.pos+n : s.pos+n]
@@ -111,19 +111,8 @@ func (s *SliceSource) View(n int) []Rec {
 	return v
 }
 
-// Reset rewinds the source to the beginning of the trace.
-func (s *SliceSource) Reset() { s.pos = 0 }
-
 // Len returns the total number of records in the trace.
 func (s *SliceSource) Len() int { return len(s.recs) }
-
-// Recs returns the remaining (not yet consumed) records as a read-only
-// view of the source's backing slice. The view aliases memory owned by
-// whoever built the SliceSource — typically the tracestore's shared
-// immutable cache — so callers must not mutate, append to or retain it
-// beyond the source's lifetime. internal/fetch uses this to recover the
-// zero-copy flat path when a Source is known to be slice-backed.
-func (s *SliceSource) Recs() []Rec { return s.recs[s.pos:len(s.recs):len(s.recs)] }
 
 // ForEach calls fn with each remaining record of src, in order. It reads a
 // Viewer's records in place, a view at a time, and any other Source's

@@ -70,9 +70,9 @@ func TestSliceSource(t *testing.T) {
 	if n != 6 {
 		t.Fatalf("drained %d records", n)
 	}
-	src.Reset()
+	src = NewSliceSource(sampleRecs())
 	if r, ok := src.Next(); !ok || r.Seq != 0 {
-		t.Error("Reset did not rewind")
+		t.Error("Next did not start at the first record")
 	}
 	// View lends what is left after that Next, capacity-capped, and is
 	// empty at the end.

@@ -28,9 +28,7 @@ import (
 // machines draw from the pipeline's one scratch
 // pool: fig3.1 dirties it through RunPerfectFetch (the store table
 // and cycle ring), fig5.3 through Run (the same two plus the network PC
-// buffer) and reuses the network's group buffers. The group buffer
-// RunPerfectFetch reads a non-slice source into is dirtied by the
-// streamed runs of stream_test.go, which must match the flat renders.
+// buffer) and reuses the network's group buffers.
 func TestPooledScratchReuseIsDeterministic(t *testing.T) {
 	p := DefaultParams()
 	p.TraceLen = 4_000

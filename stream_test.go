@@ -103,11 +103,11 @@ func TestStreamedTablesMatchMaterialized(t *testing.T) {
 // TestStreamAllocBudget pins the streaming path's memory discipline in the
 // pool_test.go style: once a trace is resident as a compressed chunk
 // sequence, a full streamed machine run must cost a small fixed number of
-// allocations — the pooled decode chunk, the window buffer and the
-// machine's own pooled scratch — NOT O(trace length). Before the chunk
-// pool the same run would materialize the whole trace (64 bytes per
+// allocations — the pooled decode chunk, the fetch engine and its window,
+// and the machine's own pooled scratch — NOT O(trace length). Before the
+// chunk pool the same run would materialize the whole trace (64 bytes per
 // record); any per-record or per-chunk allocation that sneaks back into
-// Cursor.fill or Window.fillOne blows the budget immediately.
+// Cursor.fill or Window.fill blows the budget immediately.
 func TestStreamAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are checked without -race: sync.Pool drops items at random under the race detector")
