@@ -33,7 +33,10 @@
 // chrome://tracing or https://ui.perfetto.dev) with one track per simulated
 // run, sampled every -trace-sample cycles; -manifest writes a JSON run
 // manifest (configuration, wall time, metric snapshot); -pprof serves
-// net/http/pprof on the given address for live profiling; -progress
+// net/http/pprof on the given address for live profiling; -cpuprofile and
+// -memprofile write a CPU profile of the run and a heap profile at its
+// end, and every plan cell runs under pprof labels (experiment, workload,
+// column, variant), so `go tool pprof -tags` names the slow cell; -progress
 // renders a live cells-done/total line with an EWMA-derived ETA on stderr
 // while the grids run; -events writes the structured JSON event log
 // (run/cell lifecycle, trace generation) to a file. None of these affect
@@ -59,6 +62,8 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"time"
@@ -109,6 +114,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		traceSample = fs.Int("trace-sample", 64, "cycles between tracer counter samples (with -trace-out)")
 		manifestOut = fs.String("manifest", "", "write a JSON run manifest to this file")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile  = fs.String("memprofile", "", "write a heap profile to this file at the end of the run")
 		workers     = fs.Int("workers", 0, "simulation worker-pool width (0 = GOMAXPROCS); tables are byte-identical at any width")
 		progress    = fs.Bool("progress", false, "render a live cells-done/total progress line on stderr while experiments run")
 		eventsOut   = fs.String("events", "", "write a structured JSON event log (one event per line) to this file")
@@ -177,6 +184,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 				fmt.Fprintln(stderr, "vpsim: pprof:", err)
 			}
 		}()
+	}
+
+	stopCPUProfile := func() error { return nil }
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		stopCPUProfile = func() error {
+			pprof.StopCPUProfile()
+			return f.Close()
+		}
+		// For the error returns: the end of the run stops the profile
+		// first and checks Close, and a second stop does nothing.
+		defer stopCPUProfile()
 	}
 
 	manifest := valuepred.BeginManifest("vpsim")
@@ -338,7 +364,28 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
+	if err := stopCPUProfile(); err != nil {
+		return err
+	}
+	if *memProfile != "" {
+		return writeHeapProfile(*memProfile)
+	}
 	return nil
+}
+
+// writeHeapProfile writes the heap profile to path, after a GC so that the
+// profile is up to date with the run's allocations.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // renderTable writes one table in the selected output format (the same

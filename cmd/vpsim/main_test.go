@@ -116,6 +116,34 @@ func TestPreloadAndCacheStats(t *testing.T) {
 // small run: the metrics snapshot reaches stderr, the trace file is valid
 // schema-checked Chrome trace_event JSON, and the manifest round-trips
 // through encoding/json byte-identically.
+// TestProfileFlags: -cpuprofile and -memprofile each write a non-empty
+// gzipped pprof profile, and the table is the one a run without them
+// renders.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	args := []string{"-experiment", "fig3.1", "-len", "4000", "-workloads", "go"}
+	var plain, out, errb strings.Builder
+	if err := run(args, &plain, &errb); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(args, "-cpuprofile", cpu, "-memprofile", mem), &out, &errb); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != plain.String() {
+		t.Errorf("table with profiling:\n%s\nwithout:\n%s", out.String(), plain.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+			t.Errorf("%s: %d bytes, not a gzipped pprof profile", filepath.Base(path), len(data))
+		}
+	}
+}
+
 func TestObservabilityFlags(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.json")

@@ -101,7 +101,7 @@ func (s Stats) DenyRate() float64 {
 // primary is the router's bookkeeping for the first (merged) access of a
 // PC within one fetch group.
 type primary struct {
-	slot    int
+	pc      uint64
 	granted bool
 	copies  int
 	last    uint64
@@ -120,15 +120,12 @@ type Network struct {
 
 	// Per-cycle working set, reused across ProcessGroup calls so the
 	// pipeline hot path allocates nothing per fetch group (DESIGN.md §12):
-	// the reply buffer, the primary-access records, and the PC-to-primary
-	// index (values are indices into prims, not pointers — prims grows by
-	// append and pointers into it would go stale).
+	// the reply buffer and the group's primary accesses in program order.
 	// ProcessGroup returns slots truncated to the group, valid until the
 	// next call; both buffers are unexported, so only Network's own
 	// methods can grow or rewrite them.
 	slots []Slot
 	prims []primary
-	byPC  map[uint64]int
 }
 
 // NewNetwork validates cfg and builds the network.
@@ -146,7 +143,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 		cfg:   cfg,
 		mask:  uint64(cfg.Banks - 1),
 		ports: make([]int, cfg.Banks),
-		byPC:  make(map[uint64]int),
 	}
 	if ss, ok := cfg.Predictor.(predictor.StrideSource); ok {
 		n.stride = ss
@@ -180,14 +176,9 @@ func (n *Network) ProcessGroup(pcs []uint64) []Slot {
 		n.slots = make([]Slot, len(pcs))
 	}
 	slots := n.slots[:len(pcs)]
-	for i := range slots {
-		slots[i] = Slot{}
-	}
-	for i := range n.ports {
-		n.ports[i] = 0
-	}
+	clear(slots)
+	clear(n.ports)
 	n.prims = n.prims[:0]
-	clear(n.byPC)
 
 	for i, pc := range pcs {
 		n.stats.Requests++
@@ -196,8 +187,7 @@ func (n *Network) ProcessGroup(pcs []uint64) []Slot {
 			slots[i].Denied = true
 			continue
 		}
-		if pi, dup := n.byPC[pc]; dup {
-			p := &n.prims[pi]
+		if p := n.primaryOf(pc); p != nil {
 			// Duplicate copy: the router merges it onto the primary
 			// access; the distributor expands the stride sequence.
 			p.copies++
@@ -227,11 +217,9 @@ func (n *Network) ProcessGroup(pcs []uint64) []Slot {
 			}
 			continue
 		}
-		// New primary: append to prims and index it by PC. The pointer is
-		// only held within this iteration (later appends may move the
-		// slice; the dup branch re-derives it from the index).
-		n.byPC[pc] = len(n.prims)
-		n.prims = append(n.prims, primary{slot: i})
+		// New primary. The pointer is only held within this iteration:
+		// later appends may move the slice.
+		n.prims = append(n.prims, primary{pc: pc})
 		p := &n.prims[len(n.prims)-1]
 		bank := n.Bank(pc)
 		if n.ports[bank] >= n.cfg.PortsPerBank {
@@ -258,6 +246,20 @@ func (n *Network) ProcessGroup(pcs []uint64) []Slot {
 		slots[i] = Slot{Valid: pr.Confident, Pred: pr}
 	}
 	return slots
+}
+
+// primaryOf returns the current group's primary access of pc, or nil if
+// pc has none yet. The scan is linear in the group's primaries, at most
+// one per request of a group of at most one trace-cache line or Width
+// records, which costs less than hashing into a map and clearing it per
+// group.
+func (n *Network) primaryOf(pc uint64) *primary {
+	for i := range n.prims {
+		if n.prims[i].pc == pc {
+			return &n.prims[i]
+		}
+	}
+	return nil
 }
 
 // Update trains the underlying table with a committed value; the pipeline

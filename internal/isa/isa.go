@@ -193,18 +193,53 @@ func (op Opcode) String() string {
 // Valid reports whether op is a defined, non-BAD opcode.
 func (op Opcode) Valid() bool { return op > BAD && int(op) < NumOpcodes }
 
+// opFlag is one bit of an opcode's facts in opFlags.
+type opFlag uint8
+
+const (
+	flagWritesRd opFlag = 1 << iota
+	flagReadsRs1
+	flagReadsRs2
+	flagHasImm
+	flagLoad
+	flagStore
+	flagBranch
+	flagJump
+)
+
+// opFlags holds opTable's facts as bits, one row for every byte value, so
+// each predicate below is one load and a test with no bounds check. It is
+// derived from opTable, which stays the one source of opcode facts; the
+// rows past NumOpcodes stay zero, so every predicate answers false for an
+// invalid opcode.
+var opFlags = func() (t [256]opFlag) {
+	bit := func(on bool, f opFlag) opFlag {
+		if on {
+			return f
+		}
+		return 0
+	}
+	for op, in := range opTable {
+		t[op] = bit(in.writesRd, flagWritesRd) | bit(in.readsRs1, flagReadsRs1) |
+			bit(in.readsRs2, flagReadsRs2) | bit(in.hasImm, flagHasImm) |
+			bit(in.class == ClassLoad, flagLoad) | bit(in.class == ClassStore, flagStore) |
+			bit(in.class == ClassBranch, flagBranch) | bit(in.class == ClassJump, flagJump)
+	}
+	return t
+}()
+
 // WritesRd reports whether the opcode produces a register result. Only
 // result-producing instructions are candidates for value prediction.
-func (op Opcode) WritesRd() bool { return int(op) < NumOpcodes && opTable[op].writesRd }
+func (op Opcode) WritesRd() bool { return opFlags[op]&flagWritesRd != 0 }
 
 // ReadsRs1 reports whether the opcode reads its first source register.
-func (op Opcode) ReadsRs1() bool { return int(op) < NumOpcodes && opTable[op].readsRs1 }
+func (op Opcode) ReadsRs1() bool { return opFlags[op]&flagReadsRs1 != 0 }
 
 // ReadsRs2 reports whether the opcode reads its second source register.
-func (op Opcode) ReadsRs2() bool { return int(op) < NumOpcodes && opTable[op].readsRs2 }
+func (op Opcode) ReadsRs2() bool { return opFlags[op]&flagReadsRs2 != 0 }
 
 // HasImm reports whether the opcode carries an immediate operand.
-func (op Opcode) HasImm() bool { return int(op) < NumOpcodes && opTable[op].hasImm }
+func (op Opcode) HasImm() bool { return opFlags[op]&flagHasImm != 0 }
 
 // Class returns the opcode's instruction class.
 func (op Opcode) Class() Class {
@@ -215,22 +250,19 @@ func (op Opcode) Class() Class {
 }
 
 // IsBranch reports whether the opcode is a conditional branch.
-func (op Opcode) IsBranch() bool { return op.Class() == ClassBranch }
+func (op Opcode) IsBranch() bool { return opFlags[op]&flagBranch != 0 }
 
 // IsJump reports whether the opcode is an unconditional control transfer.
-func (op Opcode) IsJump() bool { return op.Class() == ClassJump }
+func (op Opcode) IsJump() bool { return opFlags[op]&flagJump != 0 }
 
 // IsControl reports whether the opcode can redirect the PC.
-func (op Opcode) IsControl() bool {
-	c := op.Class()
-	return c == ClassBranch || c == ClassJump
-}
+func (op Opcode) IsControl() bool { return opFlags[op]&(flagBranch|flagJump) != 0 }
 
 // IsLoad reports whether the opcode reads memory.
-func (op Opcode) IsLoad() bool { return op.Class() == ClassLoad }
+func (op Opcode) IsLoad() bool { return opFlags[op]&flagLoad != 0 }
 
 // IsStore reports whether the opcode writes memory.
-func (op Opcode) IsStore() bool { return op.Class() == ClassStore }
+func (op Opcode) IsStore() bool { return opFlags[op]&flagStore != 0 }
 
 // Inst is a single static instruction.
 type Inst struct {

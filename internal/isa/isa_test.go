@@ -79,6 +79,43 @@ func TestOpcodeMetadata(t *testing.T) {
 	}
 }
 
+// TestPredicatesMatchOpTable holds every byte value's predicates to its
+// opTable row: each flag predicate answers the row's fact, and past
+// NumOpcodes every predicate answers false and Class answers ClassSystem,
+// as fuzzed trace bytes can carry such an opcode.
+func TestPredicatesMatchOpTable(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		op := Opcode(b)
+		var want opInfo
+		wantClass := ClassSystem
+		if b < NumOpcodes {
+			want, wantClass = opTable[b], opTable[b].class
+		}
+		defined := b < NumOpcodes
+		for _, c := range []struct {
+			name      string
+			got, want bool
+		}{
+			{"WritesRd", op.WritesRd(), want.writesRd},
+			{"ReadsRs1", op.ReadsRs1(), want.readsRs1},
+			{"ReadsRs2", op.ReadsRs2(), want.readsRs2},
+			{"HasImm", op.HasImm(), want.hasImm},
+			{"IsLoad", op.IsLoad(), defined && want.class == ClassLoad},
+			{"IsStore", op.IsStore(), defined && want.class == ClassStore},
+			{"IsBranch", op.IsBranch(), defined && want.class == ClassBranch},
+			{"IsJump", op.IsJump(), defined && want.class == ClassJump},
+			{"IsControl", op.IsControl(), defined && (want.class == ClassBranch || want.class == ClassJump)},
+		} {
+			if c.got != c.want {
+				t.Errorf("Opcode(%d).%s() = %v, want %v", b, c.name, c.got, c.want)
+			}
+		}
+		if got := op.Class(); got != wantClass {
+			t.Errorf("Opcode(%d).Class() = %v, want %v", b, got, wantClass)
+		}
+	}
+}
+
 func TestInstString(t *testing.T) {
 	cases := []struct {
 		in   Inst

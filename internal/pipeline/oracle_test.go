@@ -29,6 +29,15 @@ import (
 // plain allocation, which changes no timing and makes the entry.left
 // recycling gate unnecessary.
 
+// latencyOf returns the execution latency of an opcode under cfg, the
+// oracle's own copy of the rule ingest applies.
+func (cfg *Config) latencyOf(op isa.Opcode) uint64 {
+	if op.IsLoad() {
+		return uint64(max(cfg.LoadLatency, 1))
+	}
+	return 1
+}
+
 type producerInfo struct {
 	execCycle  uint64
 	resultAt   uint64 // cycle the value becomes forwardable (exec + latency)

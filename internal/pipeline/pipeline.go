@@ -97,14 +97,6 @@ type Config struct {
 	Obs *obs.Sink
 }
 
-// latencyOf returns the execution latency of an opcode under cfg.
-func (cfg Config) latencyOf(op isa.Opcode) uint64 {
-	if op.IsLoad() {
-		return uint64(max(cfg.LoadLatency, 1))
-	}
-	return 1
-}
-
 // DefaultConfig returns the paper's Section 5 machine without value
 // prediction.
 func DefaultConfig() Config {
@@ -180,23 +172,24 @@ const maxLatency = 1024
 
 // producer is the latest writer of a register, as its readers see it.
 type producer struct {
-	result       uint64 // cycle its value is forwardable: exec + latency
-	right, wrong bool   // its value was predicted correctly / wrongly
-	useful       uint64 // earliest execute cycle of a consumer it decoupled; 0 if none
+	result uint64 // cycle its value is forwardable: exec + latency
+	// bind is the cycle it holds a consumer to while in flight, set once
+	// when it is written: 0 if its value was predicted correctly, result +
+	// ValuePenalty if wrongly, result if not predicted. Only a correctly
+	// predicted writer has bind 0 and result > 0.
+	bind   uint64
+	useful uint64 // earliest execute cycle of a consumer it decoupled; 0 if none
 }
 
 // readyAt returns the earliest cycle, as far as p is concerned, at which a
 // consumer fetched in cycle fetch may execute. A producer whose result is
 // forwardable by fetch+1 binds it no more than the pipeline depth does;
-// one still in flight binds it unless its value was predicted correctly.
-func (p *producer) readyAt(fetch, penalty uint64) uint64 {
-	switch {
-	case p.result <= fetch+1 || p.right:
-		return 0
-	case p.wrong:
-		return p.result + penalty
+// one still in flight binds it to p.bind.
+func (p *producer) readyAt(fetch uint64) uint64 {
+	if p.result > fetch+1 {
+		return p.bind
 	}
-	return p.result
+	return 0
 }
 
 // slot holds one cycle's counts: the instructions that execute in it, those
@@ -381,15 +374,17 @@ func RunPerfectFetch(src trace.Source, cfg Config) (Result, error) {
 	return m.finish()
 }
 
-// ingest fetches one group in cycle m.clk.now: it takes the group's
-// value-prediction outcomes (directly or through the network), places each
-// record's execute and commit cycles in program order and publishes it as
-// a producer. It returns the last record's execute cycle, or an error if
-// the recorded outcome stream ends before the group does.
+// ingest fetches one group in cycle m.clk.now: it places each record's
+// execute and commit cycles in program order, takes its value-prediction
+// outcome (directly or through the network) and publishes it as a
+// producer. It returns the last record's execute cycle, or an error if the
+// recorded outcome stream ends before the group does.
 func (m *machine) ingest(recs []trace.Rec) (exec uint64, err error) {
 	cfg, clk, res := &m.cfg, &m.clk, &m.res
 	fetch, penalty := clk.now, uint64(cfg.ValuePenalty)
-	if cfg.Outcomes != nil && res.Insts+uint64(len(recs)) > uint64(cfg.Outcomes.Len()) {
+	loadLatency := uint64(max(cfg.LoadLatency, 1))
+	base := int(res.Insts) // trace index of recs[0]
+	if cfg.Outcomes != nil && base+len(recs) > cfg.Outcomes.Len() {
 		return 0, errOutcomesLen(cfg.Outcomes)
 	}
 
@@ -399,8 +394,8 @@ func (m *machine) ingest(recs []trace.Rec) (exec uint64, err error) {
 	var replies []core.Slot
 	if cfg.Network != nil {
 		pcs := m.s.pcs[:0]
-		for _, rec := range recs {
-			if rec.WritesValue() {
+		for i := range recs {
+			if rec := &recs[i]; rec.Op.WritesRd() && rec.Rd != 0 { // rec.WritesValue(), without copying rec
 				pcs = append(pcs, rec.PC)
 			}
 		}
@@ -410,49 +405,20 @@ func (m *machine) ingest(recs []trace.Rec) (exec uint64, err error) {
 
 	for i := range recs {
 		rec := &recs[i] // read in place: a record is 64 bytes
-		writes := rec.WritesValue()
-		var right, wrong bool
-		if writes {
-			var confident, correct bool
-			switch {
-			case cfg.OracleVP:
-				confident, correct = true, true
-			case cfg.Network != nil:
-				r := replies[0]
-				replies = replies[1:]
-				if r.Denied {
-					res.DeniedSlots++
-					clk.o.VPDenied()
-				}
-				confident, correct = r.Valid, r.Pred.Value == rec.Val
-				cfg.Network.Update(rec.PC, rec.Val)
-			case cfg.Predictor != nil || cfg.Outcomes != nil:
-				confident, correct = predictor.Step(cfg.Predictor, cfg.Outcomes, int(res.Insts), rec)
-			}
-			if confident {
-				right, wrong = correct, !correct
-				res.Attempted++
-				if right {
-					res.Correct++
-				}
-				clk.o.VPAttempt(right)
-			}
-		}
+		op := rec.Op
 
-		// Operand registers. x0 stands in for an operand not read: regs[0]
+		// Operand producers. regs[0] stands in for an operand not read: it
 		// is never written, so it reads as a producer long executed.
-		var rs [2]isa.Reg
-		if rec.Op.ReadsRs1() {
-			rs[0] = rec.Rs1
+		var r1, r2 isa.Reg
+		if op.ReadsRs1() {
+			r1 = rec.Rs1
 		}
-		if rec.Op.ReadsRs2() {
-			rs[1] = rec.Rs2
+		if op.ReadsRs2() {
+			r2 = rec.Rs2
 		}
-		exec = fetch + 2
-		for _, r := range rs {
-			exec = max(exec, m.regs[r].readyAt(fetch, penalty))
-		}
-		if cfg.IncludeMemoryDeps && rec.Op.IsLoad() {
+		p1, p2 := &m.regs[r1], &m.regs[r2]
+		exec = max(fetch+2, p1.readyAt(fetch), p2.readyAt(fetch))
+		if cfg.IncludeMemoryDeps && op.IsLoad() {
 			// Stores are never predicted and take one cycle; a store the
 			// table no longer holds executed too early to delay the load.
 			exec = max(exec, m.s.stores.get(rec.Addr)+1)
@@ -465,21 +431,14 @@ func (m *machine) ingest(recs []trace.Rec) (exec uint64, err error) {
 			cycle.commit++
 		}
 
-		// A correctly predicted in-flight producer whose result is not
-		// forwardable yet decoupled this consumer: it counts once in Used,
-		// and in the per-cycle counts at its earliest such consumer's cycle.
-		for _, r := range rs {
-			p := &m.regs[r]
-			if !p.right || p.result <= exec || (p.useful != 0 && p.useful <= exec) {
-				continue
-			}
-			if p.useful == 0 {
-				res.Used++
-			} else {
-				clk.at(p.useful).useful--
-			}
-			clk.at(exec).useful++
-			p.useful = exec
+		// A correctly predicted producer whose result is not forwardable
+		// yet decoupled this consumer; one read by both operands counts
+		// once.
+		if p1.bind == 0 && p1.result > exec {
+			m.use(p1, exec)
+		}
+		if p2.bind == 0 && p2.result > exec {
+			m.use(p2, exec)
 		}
 
 		if cfg.HoldUntilCommit {
@@ -491,20 +450,68 @@ func (m *machine) ingest(recs []trace.Rec) (exec uint64, err error) {
 			clk.at(commit).commit++
 		}
 
-		if writes {
-			m.regs[rec.Rd] = producer{result: exec + cfg.latencyOf(rec.Op), right: right, wrong: wrong}
+		if op.WritesRd() && rec.Rd != 0 { // rec.WritesValue()
+			result := exec + 1
+			if op.IsLoad() {
+				result = exec + loadLatency
+			}
+			var confident, correct bool
+			switch {
+			case cfg.OracleVP:
+				confident, correct = true, true
+			case cfg.Outcomes != nil:
+				confident, correct = cfg.Outcomes.At(base + i)
+			case cfg.Network != nil:
+				r := &replies[0]
+				replies = replies[1:]
+				if r.Denied {
+					res.DeniedSlots++
+					clk.o.VPDenied()
+				}
+				confident, correct = r.Valid, r.Pred.Value == rec.Val
+				cfg.Network.Update(rec.PC, rec.Val)
+			case cfg.Predictor != nil:
+				confident, correct = predictor.Step(cfg.Predictor, rec)
+			}
+			bind := result
+			if confident {
+				res.Attempted++
+				bind = result + penalty
+				if correct {
+					res.Correct++
+					bind = 0
+				}
+				clk.o.VPAttempt(correct)
+			}
+			m.regs[rec.Rd] = producer{result: result, bind: bind}
 		}
-		if cfg.IncludeMemoryDeps && rec.Op.IsStore() {
+		if cfg.IncludeMemoryDeps && op.IsStore() {
 			m.s.stores.put(rec.Addr, exec, fetch)
 		}
 		if cfg.Observer != nil {
 			cfg.Observer(rec.Seq, fetch, exec)
 		}
-		clk.fetched++
-		clk.inflight++
-		res.Insts++
 	}
+	clk.fetched += len(recs)
+	clk.inflight += len(recs)
+	res.Insts += uint64(len(recs))
 	return exec, nil
+}
+
+// use counts a correctly predicted producer p that is still in flight
+// when a consumer executes in cycle exec: it is used once, and its
+// per-cycle count sits at its earliest such consumer's cycle.
+func (m *machine) use(p *producer, exec uint64) {
+	if p.useful != 0 && p.useful <= exec {
+		return
+	}
+	if p.useful == 0 {
+		m.res.Used++
+	} else {
+		m.clk.at(p.useful).useful--
+	}
+	m.clk.at(exec).useful++
+	p.useful = exec
 }
 
 // errOutcomesLen reports a recorded outcome stream that does not match the

@@ -416,3 +416,86 @@ func TestConsumerWaitsForMultiCycleResult(t *testing.T) {
 		}
 	}
 }
+
+// TestBindingRule holds a producer's binding cycle to DESIGN.md §7 at
+// ValuePenalty 2 and LoadLatency 3, on one-width fetch so that each record
+// is fetched one cycle after the one before. A load fetched in cycle 1
+// executes in cycle 3 and its result is forwardable in cycle 6; a consumer
+// fetched in cycle f reads it as in flight while 6 > f + 1. Each case
+// gives the consumer's execute cycle under the rule and the one a broken
+// rule would give, which the run must reject. Run with a live predictor,
+// Run replaying a recorded stream and the oracle must all agree.
+func TestBindingRule(t *testing.T) {
+	const val = 5
+	load := trace.Rec{Op: isa.LD, Rd: isa.T0, Rs1: isa.Zero, Addr: 64, Val: val}
+	use := trace.Rec{Op: isa.ADD, Rd: isa.T1, Rs1: isa.T0, Rs2: isa.T0, Val: 2 * val}
+	cases := []struct {
+		name       string
+		predicted  uint64 // the load's predicted value
+		fillers    int    // NOPs between the load and its consumer
+		want, used uint64 // the consumer's execute cycle; Result.Used
+		reject     uint64 // the consumer's execute cycle under a broken rule
+	}{
+		// In flight at fetch 2: bound to the result plus the penalty, not
+		// to the result alone.
+		{name: "wrong, in flight", predicted: val + 1, want: 8, reject: 6},
+		// Fetch 4 is the last cycle the load is in flight (6 > 5), where an
+		// in-flight test off by one reads fetch+2 = 6.
+		{name: "wrong, in flight at fetch+1 = result-1", predicted: val + 1, fillers: 2, want: 8, reject: 6},
+		// Fetch 5: the result is forwardable by fetch+1, so the wrong value
+		// adds nothing, where adding the penalty unconditionally reads 8.
+		{name: "wrong, forwardable by fetch+1", predicted: val + 1, fillers: 3, want: 7, reject: 8},
+		// A right producer read by both operands binds nothing, where
+		// ignoring the prediction reads 6, and is used once, not once per
+		// operand.
+		{name: "right, read twice", predicted: val, want: 4, used: 1, reject: 6},
+	}
+	for _, c := range cases {
+		if c.want == c.reject {
+			t.Fatalf("%s: the case does not tell the rule from the broken one", c.name)
+		}
+		recs := []trace.Rec{load}
+		for range c.fillers {
+			recs = append(recs, trace.Rec{Op: isa.NOP})
+		}
+		recs = append(recs, use)
+		for i := range recs {
+			recs[i].Seq, recs[i].PC = uint64(i), isa.PCOf(i)
+		}
+		// A last-value predictor that has seen only the predicted value at
+		// the load's PC predicts it confidently there and nothing else.
+		warm := func() predictor.Predictor {
+			p := predictor.NewLastValue()
+			p.Update(recs[0].PC, c.predicted)
+			return p
+		}
+		outs, _ := predictor.RecordOutcomes(warm(), trace.NewSliceSource(recs))
+		for _, e := range []struct {
+			name string
+			run  engineFunc
+			set  func(*Config)
+		}{
+			{"Run/predictor", Run, func(cfg *Config) { cfg.Predictor = warm() }},
+			{"Run/outcomes", Run, func(cfg *Config) { cfg.Outcomes = outs }},
+			{"oracle", oracleRun, func(cfg *Config) { cfg.Predictor = warm() }},
+		} {
+			cfg := DefaultConfig()
+			cfg.Width, cfg.ValuePenalty, cfg.LoadLatency = 1, 2, 3
+			e.set(&cfg)
+			var exec uint64
+			cfg.Observer = func(seq, _, execCycle uint64) {
+				if seq == uint64(len(recs)-1) {
+					exec = execCycle
+				}
+			}
+			res, err := e.run(fetch.NewSequential(recs, btb.NewPerfect(), -1), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if exec != c.want || res.Used != c.used || res.Correct != c.used || res.Attempted != 1 {
+				t.Errorf("%s, %s: consumer executes in cycle %d (want %d, broken rule %d); attempted %d, correct %d, used %d (want 1, %d, %d)",
+					c.name, e.name, exec, c.want, c.reject, res.Attempted, res.Correct, res.Used, c.used, c.used)
+			}
+		}
+	}
+}

@@ -79,15 +79,12 @@ func (o *Outcomes) set(i int, correct bool) {
 	o.words[i>>5] |= bits << (uint(i&31) * 2)
 }
 
-// Step is the simulation protocol's per-record step for record i of a
-// trace, r, which writes a value. With a recorded stream o it reads r's
-// outcome from o; otherwise it looks r up in p and then updates p with r's
+// Step is the simulation protocol's per-record step for a live predictor:
+// it looks r, which writes a value, up in p and then updates p with r's
 // value. It returns whether the prediction was confident and, if so,
-// whether it was correct.
-func Step(p Predictor, o *Outcomes, i int, r *trace.Rec) (confident, correct bool) {
-	if o != nil {
-		return o.At(i)
-	}
+// whether it was correct, which is what a stream recorded from p answers
+// through At.
+func Step(p Predictor, r *trace.Rec) (confident, correct bool) {
 	pr := p.Lookup(r.PC)
 	p.Update(r.PC, r.Val)
 	return pr.Confident, pr.Value == r.Val

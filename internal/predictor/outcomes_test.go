@@ -38,7 +38,7 @@ func TestRecordOutcomesMatchesLiveStep(t *testing.T) {
 				}
 				continue
 			}
-			wantConf, wantCorr := Step(live, nil, i, &recs[i])
+			wantConf, wantCorr := Step(live, &recs[i])
 			if gotConf != wantConf || (wantConf && gotCorr != wantCorr) {
 				t.Fatalf("%s: record %d: stream (%v, %v), live step (%v, %v)", name, i, gotConf, gotCorr, wantConf, wantCorr)
 			}

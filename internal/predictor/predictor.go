@@ -12,9 +12,9 @@
 // the value is known. Lookups and updates therefore happen in trace order
 // whatever machine runs the trace, so each record's outcome (confident,
 // and correct) is a function of the trace and the predictor alone.
-// RecordOutcomes records it once per trace as an Outcomes stream, and
-// Step, the per-record step both machines take, either replays that
-// stream or drives a live predictor. The infinite stride predictor and
+// RecordOutcomes records it once per trace as an Outcomes stream, which a
+// machine replays through At; Step is the same per-record step on a live
+// predictor. The infinite stride predictor and
 // the classifier index their state by static instruction (pcTable), which
 // keeps that one pass cheap.
 package predictor

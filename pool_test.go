@@ -68,10 +68,10 @@ func TestPooledScratchReuseIsDeterministic(t *testing.T) {
 
 // TestAllocBudgetPerCell pins the per-cell allocation count with
 // testing.AllocsPerRun. The budgets are deliberately loose multiples of
-// the measured steady state (ideal with a live predictor ~6, nearly all of
+// the measured steady state (ideal with a live predictor ~7, nearly all of
 // them the growth of its dense tables; ideal replaying an outcome stream
-// ~1; network machine ~1060; sequential machine ~1, and behind a 2-level
-// BTB ~4, for a 20k-instruction trace) but far below one allocation
+// ~2; network machine ~31; sequential machine ~3, and behind a 2-level
+// BTB ~6, for a 20k-instruction trace) but far below one allocation
 // per instruction — before the pooled scratches the same runs cost ~2.8
 // allocations per instruction (~56k per run at this trace length), so any
 // reintroduced per-instruction allocation fails immediately.
@@ -135,7 +135,7 @@ func TestAllocBudgetPerCell(t *testing.T) {
 	// Trace-cache machine with the banked network: per-cell predictor, BTB
 	// and trace-cache line state remains (it scales with the static code
 	// footprint), but nothing per dynamic instruction.
-	check("machine/tracecache+network", 5_000, func() {
+	check("machine/tracecache+network", 200, func() {
 		net, err := NewNetwork(NewNetworkConfig())
 		if err != nil {
 			t.Fatal(err)
