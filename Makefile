@@ -51,10 +51,10 @@ vpbench-test:
 # bench runs every benchmark and writes the parsed report — ns/op, the
 # simulated-instructions-per-second metric each benchmark reports, the
 # derived workers=1 vs workers=max speedup of the execution engine and the
-# streamed-over-flat fig3.1 ratio — to BENCH_pr25.json via cmd/benchjson
+# streamed-over-flat fig3.1 ratio — to BENCH_pr26.json via cmd/benchjson
 # (BENCH_pr3.json, BENCH_pr5.json, BENCH_pr6.json, BENCH_pr9.json,
-# BENCH_pr16.json, BENCH_pr20.json and BENCH_pr21.json are the committed
-# earlier reports; bench-gate reads
+# BENCH_pr16.json, BENCH_pr20.json, BENCH_pr21.json and BENCH_pr25.json are
+# the committed earlier reports; bench-gate reads
 # BENCH_pr9.json as its baseline, so bench never overwrites the
 # regression reference). The raw `go test -bench` text still reaches the
 # terminal. -gate makes the run fail outright if any parallel sweep is
@@ -63,7 +63,7 @@ vpbench-test:
 # committed report, or if the streamed sweep costs more than 1.5× the
 # flat one.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchmem . | $(GO) run ./cmd/benchjson -gate -o BENCH_pr25.json
+	$(GO) test -run='^$$' -bench=. -benchmem . | $(GO) run ./cmd/benchjson -gate -o BENCH_pr26.json
 
 # STREAM_MEM_BUDGET caps allocated bytes per streamed fig3.1 sweep
 # (BenchmarkFig31Stream, 8 workloads × 100k instructions, 80 cells). The

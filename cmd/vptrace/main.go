@@ -1,12 +1,14 @@
 // Command vptrace generates, stores, inspects and replays workload traces
-// in the binary VPT1 format (the repository's stand-in for Shade trace
-// files).
+// as trace files (the repository's stand-in for Shade trace files): the
+// magic "VPT2", then blocks of at most 8192 records, each storing the
+// static instructions it touches once and per record only the dynamic
+// fields (internal/trace, DESIGN.md §13). It reads no other format.
 //
-// Both directions stream record by record: recording steps the emulator
-// straight into the encoder, and decoding folds each record into a running
-// summary as it leaves the reader, so a 100M-instruction trace file is
-// inspected (or written) in constant memory — no mode materializes the
-// trace as a slice.
+// Both directions stream: recording steps the emulator straight into the
+// encoder, a block at a time, and decoding folds each record into a
+// running summary as it leaves the reader's current block, so a
+// 100M-instruction trace file is inspected (or written) in constant memory
+// — no mode materializes the trace as a slice.
 //
 // Usage:
 //
@@ -102,23 +104,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 }
 
-// report drains src record by record, keeping only the running summary and
-// the first dump records, then prints summary-then-dump in the command's
-// established order. Peak memory is one record plus the dump prefix,
-// independent of the trace length.
+// report drains src, keeping only the running summary and the first dump
+// records, then prints summary-then-dump in the command's established
+// order. Peak memory is the source's own (one block for a file) plus the
+// dump prefix, independent of the trace length.
 func report(w io.Writer, src trace.Source, dump int) error {
 	var sum trace.Summarizer
 	var head []trace.Rec
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		sum.Add(rec)
+	trace.ForEach(src, func(rec *trace.Rec) {
+		sum.Add(*rec)
 		if len(head) < dump {
-			head = append(head, rec)
+			head = append(head, *rec)
 		}
-	}
+	})
 	if s, ok := src.(interface{ Err() error }); ok {
 		if err := s.Err(); err != nil {
 			return err

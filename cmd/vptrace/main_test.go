@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -43,5 +44,14 @@ func TestErrors(t *testing.T) {
 	}
 	if err := run([]string{"-decode", "/nonexistent/file.vpt"}, &out, &errb); err == nil {
 		t.Error("missing file accepted")
+	}
+	// A file in the retired VPT1 format: its magic, then record bytes.
+	old := filepath.Join(t.TempDir(), "old.vpt")
+	if err := os.WriteFile(old, []byte("VPT1\x80@\x8e\x8a\x14\x0a\x0a\x00\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-decode", old}, &out, &errb)
+	if err == nil || !strings.Contains(err.Error(), "not a VPT2 trace file") {
+		t.Errorf("VPT1 file: err = %v, want one naming the VPT2 format", err)
 	}
 }

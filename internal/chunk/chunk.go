@@ -2,7 +2,10 @@
 // fixed-size reusable chunks of decoded trace records, immutable compressed
 // chunk sequences for the tracestore, cursors that lend their decoded
 // records in place, and a shared read that lends each to several
-// consumers. It replaces "materialize the whole trace as one flat
+// consumers. Each chunk is compressed as one block of the trace block
+// format (internal/trace): the static instructions it touches once, then
+// per record only its dynamic fields, about 3 bytes a record on the
+// emulator's traces. It replaces "materialize the whole trace as one flat
 // []trace.Rec" with "hold at most a few chunks in flight", which bounds a
 // simulation's peak memory by the chunk-pool size instead of the trace
 // length and makes paper-scale (100M-instruction) runs practical.
@@ -35,7 +38,6 @@
 package chunk
 
 import (
-	"bytes"
 	"slices"
 	"sync"
 
@@ -77,8 +79,9 @@ func (c *Chunk) reset() { *c = Chunk{Recs: c.Recs[:0]} }
 // putChunk returns c to the pool. The caller must not touch c afterwards.
 func putChunk(c *Chunk) { chunkPool.Put(c) }
 
-// block is one compressed chunk: a self-contained VPT1 stream (its own
-// magic header, PC deltas restarting at zero) holding n records.
+// block is one compressed chunk: n records as one self-contained block of
+// the trace block format (internal/trace), its static instructions in its
+// own dictionary.
 type block struct {
 	data []byte
 	n    int
@@ -114,8 +117,8 @@ func (q *Seq) NumChunks() int { return len(q.blocks) }
 // source ends) into a compressed chunk sequence with size records per
 // chunk (size <= 0 means DefaultSize). Peak memory during the build is one
 // pooled Chunk plus one compressed block: the producer fills a chunk, the
-// codec flattens it, and the chunk is reused for the next round — the
-// uncompressed trace never exists in full.
+// encoder flattens it, and the chunk is reused for the next round — the
+// uncompressed trace never exists in full. The error is always nil.
 func Build(src trace.Source, max, size int) (*Seq, error) {
 	if size <= 0 {
 		size = DefaultSize
@@ -123,8 +126,8 @@ func Build(src trace.Source, max, size int) (*Seq, error) {
 	q := &Seq{size: size}
 	c := getChunk()
 	defer putChunk(c)
-	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
+	var enc trace.Encoder
+	var buf []byte
 	for max <= 0 || q.n < max {
 		want := size
 		if max > 0 && max-q.n < want {
@@ -141,17 +144,8 @@ func Build(src trace.Source, max, size int) (*Seq, error) {
 		if len(c.Recs) == 0 {
 			break
 		}
-		buf.Reset()
-		w.Reset(&buf)
-		for _, r := range c.Recs {
-			if err := w.Write(r); err != nil {
-				return nil, err
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return nil, err
-		}
-		data := append([]byte(nil), buf.Bytes()...)
+		buf = enc.AppendBlock(buf[:0], c.Recs)
+		data := slices.Clone(buf)
 		q.blocks = append(q.blocks, block{data: data, n: len(c.Recs)})
 		q.n += len(c.Recs)
 		q.nbytes += len(data)

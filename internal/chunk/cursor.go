@@ -2,7 +2,6 @@ package chunk
 
 import (
 	"fmt"
-	"slices"
 
 	"valuepred/internal/trace"
 )
@@ -97,10 +96,10 @@ func (c *Cursor) fill() bool {
 		c.buf = getChunk()
 	}
 	b := c.seq.blocks[c.block]
-	// Size the buffer once; each record takes at least one byte, so no
-	// count above the block's size can be right.
-	recs := slices.Grow(c.buf.Recs[:0], min(b.n, len(b.data)))
-	recs, err := trace.DecodeBlock(recs, b.data, uint64(c.base))
+	// A record can take no bytes at all, so the block's length does not
+	// bound its count: the Seq's count for it caps the count its header
+	// claims, before DecodeBlock sizes the buffer to it.
+	recs, err := trace.DecodeBlock(c.buf.Recs[:0], b.data, uint64(c.base), b.n)
 	c.buf.Recs = recs
 	if err == nil && len(recs) != b.n {
 		err = fmt.Errorf("chunk: block %d holds %d records, not %d", c.block, len(recs), b.n)

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -201,13 +203,15 @@ func TestCodecBadMagic(t *testing.T) {
 
 func TestCodecTruncated(t *testing.T) {
 	recs := sampleRecs()
-	// ends[j] is the encoded length of recs[:j]: the header, then j records.
-	var ends []int
+	// Write the records as blocks of 1, 2 and 3, so the file has block
+	// boundaries to cut at; ends[j] is the file's length after block j
+	// (ends[0] the magic).
 	var buf bytes.Buffer
-	for j := 0; j <= len(recs); j++ {
-		buf.Reset()
-		w := NewWriter(&buf)
-		for _, r := range recs[:j] {
+	w := NewWriter(&buf)
+	ends := []int{len(fileMagic)}
+	served := []int{0} // records in the blocks before each end
+	for _, blk := range [][]Rec{recs[:1], recs[1:3], recs[3:]} {
+		for _, r := range blk {
 			if err := w.Write(r); err != nil {
 				t.Fatal(err)
 			}
@@ -215,25 +219,141 @@ func TestCodecTruncated(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		ends = append(ends, max(buf.Len(), len(magic)))
+		ends = append(ends, buf.Len())
+		served = append(served, served[len(served)-1]+len(blk))
 	}
 	full := buf.Bytes()
-	// Chop anywhere past the header: the reader must serve exactly the
-	// records the cut leaves whole, and flag an error unless the cut falls
-	// between records, never loop or panic.
-	for cut := len(magic); cut < len(full); cut++ {
+	// Cut anywhere past the magic: the reader must serve exactly the
+	// records of the blocks the cut leaves whole, and flag an error unless
+	// the cut falls between blocks, never loop or panic.
+	for cut := len(fileMagic); cut < len(full); cut++ {
 		r := NewReader(bytes.NewReader(full[:cut]))
 		got := Collect(r, 0)
 		whole := 0
-		for whole < len(recs) && ends[whole+1] <= cut {
+		for whole+1 < len(ends) && ends[whole+1] <= cut {
 			whole++
 		}
-		if !slices.Equal(got, recs[:whole]) {
-			t.Errorf("cut at %d: served %d records, want the %d whole ones", cut, len(got), whole)
+		if !slices.Equal(got, recs[:served[whole]]) {
+			t.Errorf("cut at %d: served %d records, want the %d of the whole blocks", cut, len(got), served[whole])
 		}
 		if atEnd := cut == ends[whole]; (r.Err() == nil) != atEnd {
-			t.Errorf("cut at %d: err = %v, want an error only mid-record", cut, r.Err())
+			t.Errorf("cut at %d: err = %v, want an error only mid-block", cut, r.Err())
 		}
+	}
+}
+
+// TestCodecManyBlocks writes more records than one block of a file holds
+// and reads them back through Next and View.
+func TestCodecManyBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	recs := make([]Rec, 2*fileBlockRecs+5)
+	pc := isa.TextBase
+	for i := range recs {
+		recs[i] = randomRec(rng, uint64(i), pc)
+		pc = recs[i].Target
+	}
+	rd := NewReader(bytes.NewReader(writeFile(t, recs)))
+	var got []Rec
+	for v := rd.View(1000); len(v) > 0; v = rd.View(1000) {
+		if len(v) > 1000 || cap(v) != len(v) {
+			t.Fatalf("View(1000) returned len %d cap %d", len(v), cap(v))
+		}
+		got = append(got, v...)
+		if r, ok := rd.Next(); ok {
+			got = append(got, r)
+		}
+	}
+	if rd.Err() != nil || !slices.Equal(got, recs) {
+		t.Fatalf("read %d records (err %v), want the %d written", len(got), rd.Err(), len(recs))
+	}
+}
+
+// encodeBlock encodes recs as one block with a fresh Encoder.
+func encodeBlock(recs []Rec) []byte {
+	var e Encoder
+	return e.AppendBlock(nil, recs)
+}
+
+// TestBlockRoundTrip decodes blocks of records the format describes and
+// of records it stores as exceptions, and checks which are which.
+func TestBlockRoundTrip(t *testing.T) {
+	// loop is sampleRecs with its branch's Imm reaching its target, run
+	// twice round: every record follows the format's rules.
+	loop := sampleRecs()[:5]
+	loop[4].Imm = -4 * isa.InstBytes
+	loop = append(loop, loop...)
+	for i := range loop {
+		loop[i].Seq = uint64(i)
+	}
+	off := func(i int, change func(r *Rec)) []Rec {
+		recs := slices.Clone(loop)
+		change(&recs[i])
+		return recs
+	}
+	for _, tc := range []struct {
+		name string
+		recs []Rec
+		exc  []int
+	}{
+		{"empty", nil, nil},
+		{"loop", loop, nil},
+		// sampleRecs' branch has no Imm and its JAL's Val and Target
+		// are not PC+4 and PC+Imm; the JAL's PC is also the LI's.
+		{"sample", sampleRecs(), []int{4, 5}},
+		{"another PC", off(7, func(r *Rec) { r.PC += 8 }), []int{7}},
+		{"another static field", off(6, func(r *Rec) { r.Rs2 = 200 }), []int{6}},
+		{"a derived field", off(1, func(r *Rec) { r.Taken = true }), []int{1}},
+		// The next record is then not at its predecessor's target either.
+		{"a derived target", off(3, func(r *Rec) { r.Target += 4 }), []int{3, 4}},
+		{"a bad opcode", off(0, func(r *Rec) { r.Op = isa.Opcode(isa.NumOpcodes) }), []int{0}},
+	} {
+		data := encodeBlock(tc.recs)
+		exc, err := exceptions(data)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !slices.Equal(exc, tc.exc) {
+			t.Errorf("%s: exceptions %v, want %v", tc.name, exc, tc.exc)
+		}
+		got, err := DecodeBlock(nil, data, 0, len(tc.recs))
+		if err != nil || !slices.Equal(got, tc.recs) {
+			t.Errorf("%s: decoded %v (err %v), want %v", tc.name, got, err, tc.recs)
+		}
+	}
+}
+
+// TestBlockCountCap pins that a block claiming more records than its cap
+// fails before DecodeBlock sizes anything to the claim. A JAL to itself
+// stores no bytes per record, so its block's length does not bound its
+// count.
+func TestBlockCountCap(t *testing.T) {
+	spin := make([]Rec, 10)
+	for i := range spin {
+		spin[i] = Rec{Seq: uint64(i), PC: isa.TextBase, Op: isa.JAL, Val: isa.TextBase + isa.InstBytes, Taken: true, Target: isa.TextBase}
+	}
+	data := encodeBlock(spin)
+	if got, err := DecodeBlock(nil, data, 0, len(spin)); err != nil || !slices.Equal(got, spin) {
+		t.Fatalf("decoded %d records (err %v), want the 10 spinning JALs", len(got), err)
+	}
+	// The same block claiming 2^62 records.
+	huge := append(binary.AppendUvarint(slices.Clone(data[:len(blockMagic)]), 1<<62), data[len(blockMagic)+1:]...)
+	for _, tc := range []struct {
+		data []byte
+		max  int
+	}{{data, len(spin) - 1}, {huge, fileBlockRecs}, {huge, math.MaxInt32}} {
+		got, err := DecodeBlock(nil, tc.data, 0, tc.max)
+		if err == nil || cap(got) != 0 {
+			t.Errorf("cap %d: decoded %d records into capacity %d (err %v), want an error and nothing allocated", tc.max, len(got), cap(got), err)
+		}
+	}
+	// A file block may hold at most fileBlockRecs records.
+	var file bytes.Buffer
+	file.Write(fileMagic[:])
+	file.Write(binary.AppendUvarint(nil, uint64(len(huge))))
+	file.Write(huge)
+	r := NewReader(&file)
+	if got := Collect(r, 0); len(got) != 0 || r.Err() == nil {
+		t.Errorf("file block claiming 2^62 records: served %d records, err %v", len(got), r.Err())
 	}
 }
 
