@@ -115,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer, signals <-chan os.Signal, onRe
 		jobQueue      = fs.Int("job-queue", 0, "async jobs waiting for a slot before POST /v1/jobs sheds with 429 (0 = the library default)")
 		shardSpec     = fs.String("shard", "", "serve shard n/m of the workload axis (empty = unsharded); format=shard returns the mergeable artifact")
 		maxTraceLen   = fs.Int("max-tracelen", serve.DefaultMaxTraceLen, "largest per-request tracelen accepted")
-		maxSeeds      = fs.Int("max-seeds", serve.DefaultMaxSeeds, "largest per-request seeds accepted")
+		maxSeeds      = fs.Int("max-seeds", serve.DefaultMaxSeeds, "largest per-request seeds accepted, merges included")
 		drainTimeout  = fs.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight requests")
 		workers       = fs.Int("workers", 0, "simulation worker-pool width shared by all requests (0 = GOMAXPROCS)")
 		eventsOut     = fs.String("events", "", "write the structured JSON event log to this file (\"-\" = stderr)")

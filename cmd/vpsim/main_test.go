@@ -326,23 +326,33 @@ func TestShardAndMergeFlagErrors(t *testing.T) {
 	if err == nil || errors.Is(err, errUsage) {
 		t.Errorf("missing shard file: err = %v, want a non-usage error (exit 1)", err)
 	}
-	// So is a well-formed shard set whose experiment carries no seed runs;
-	// it used to panic the merge.
+	// So is a well-formed shard set whose experiment carries no seed runs
+	// (it used to panic the merge), and a set in the retired version-1
+	// format, whose error names both versions.
 	dir := t.TempDir()
-	var names []string
-	for i, w := range []string{"go", "li"} {
-		name := filepath.Join(dir, fmt.Sprintf("p%d.json", i+1))
-		body := fmt.Sprintf(`{"version":1,"shard":{"index":%d,"of":2},`+
-			`"params":{"seed":1,"trace_len":100,"seeds":1,"workloads":["go","li"]},`+
-			`"experiments":[{"experiment":"fig3.1","assigned":[%q],"runs":[]}]}`, i+1, w)
-		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name    string
+		version int
+		want    string
+	}{
+		{"shard set without seed runs", 2, "no seed runs"},
+		{"version-1 shard set", 1, "version 1, want 2"},
+	} {
+		var names []string
+		for i := range 2 {
+			name := filepath.Join(dir, fmt.Sprintf("v%d-p%d.json", c.version, i+1))
+			body := fmt.Sprintf(`{"version":%d,"shard":{"index":%d,"of":2},`+
+				`"params":{"seed":1,"trace_len":100,"seeds":1,"workloads":["go","li"]},`+
+				`"experiments":[{"experiment":"fig3.1","runs":[]}]}`, c.version, i+1)
+			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			names = append(names, name)
 		}
-		names = append(names, name)
-	}
-	err = run(append([]string{"-merge"}, names...), &out, &errb)
-	if err == nil || errors.Is(err, errUsage) {
-		t.Errorf("shard set without seed runs: err = %v, want a non-usage error (exit 1)", err)
+		err = run(append([]string{"-merge"}, names...), &out, &errb)
+		if err == nil || errors.Is(err, errUsage) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want a non-usage error (exit 1) containing %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -53,12 +53,6 @@ type Params struct {
 	// context can only enter through RunCtx/RunSeedsCtx, never get baked
 	// into a stored Params value by accident; nil means "never canceled".
 	ctx context.Context
-
-	// aggs, when non-nil, receives the raw collectors behind the run-wide
-	// aggregate notes (see notes.go) so a shard run can export them for the
-	// merge. It is unexported and set only by RunShardFileCtx: ordinary
-	// runs render their notes and keep nothing.
-	aggs *[]NoteAgg
 }
 
 // DefaultParams returns the parameters used by the benchmark harness.
@@ -139,10 +133,12 @@ func (p Params) track(id, workload, column, variant string) *obs.Sink {
 	return p.Obs.Track(name)
 }
 
-// entry is one registered experiment.
+// entry is one registered experiment: a declaration run by decl.run, or,
+// when d is nil, a hand-written table (tables.go) that reads no trace.
 type entry struct {
 	desc string
 	run  func(Params) (*Table, error)
+	d    *decl
 }
 
 var registry = map[string]entry{}
@@ -153,18 +149,18 @@ var registry = map[string]entry{}
 // determinism contract enforced by vplint's detlint.
 var registered []string
 
-func register(id, desc string, run func(Params) (*Table, error)) {
+func register(id string, e entry) {
 	if _, dup := registry[id]; dup {
 		panic("experiment: duplicate id " + id)
 	}
-	registry[id] = entry{desc: desc, run: run}
+	registry[id] = e
 	registered = append(registered, id)
 }
 
 // declare registers per-workload experiments, each run by decl.run.
 func declare(ds ...decl) {
 	for _, d := range ds {
-		register(d.id, d.desc, d.run)
+		register(d.id, entry{desc: d.desc, run: d.run, d: &d})
 	}
 }
 
@@ -186,15 +182,35 @@ func Describe(id string) (string, bool) {
 // trace length) when the sink carries one; like all obs plumbing this is
 // write-only and changes nothing about the table.
 func Run(id string, p Params) (*Table, error) {
+	e, err := lookup(id)
+	if err != nil {
+		return nil, err
+	}
+	var t *Table
+	err = p.narrate(id, func() (err error) {
+		t, err = e.run(p)
+		return err
+	})
+	return t, err
+}
+
+// lookup returns the experiment registered as id.
+func lookup(id string) (entry, error) {
 	e, ok := registry[id]
 	if !ok {
-		return nil, fmt.Errorf("experiment: unknown id %q (have %v)", id, IDs())
+		return entry{}, fmt.Errorf("experiment: unknown id %q (have %v)", id, IDs())
 	}
+	return e, nil
+}
+
+// narrate runs fn, one run of experiment id under p, between the
+// run.start and run.done events.
+func (p Params) narrate(id string, fn func() error) error {
 	done := p.Obs.EventStart(p.ctx, "experiment", "run",
 		obs.F("experiment", id), obs.F("seed", p.Seed), obs.F("tracelen", p.TraceLen))
-	t, err := e.run(p)
+	err := fn()
 	done(err == nil)
-	return t, err
+	return err
 }
 
 // RunCtx executes the experiment with the given id under ctx. Cancellation

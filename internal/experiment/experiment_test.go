@@ -63,7 +63,9 @@ func TestUnknownAndInvalid(t *testing.T) {
 }
 
 // TestAllExperimentsWellFormed runs every registered experiment with tiny
-// parameters and checks structural invariants of the resulting tables.
+// parameters and checks structural invariants of the resulting tables,
+// among them one cell per column in every row, which the shard merge
+// requires of every row it reads.
 func TestAllExperimentsWellFormed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep is not short")
@@ -80,7 +82,7 @@ func TestAllExperimentsWellFormed(t *testing.T) {
 				t.Fatalf("malformed table: %+v", tab)
 			}
 			for _, r := range tab.Rows {
-				if len(r.Cells) > len(tab.Columns) {
+				if len(r.Cells) != len(tab.Columns) {
 					t.Errorf("row %q has %d cells for %d columns", r.Label, len(r.Cells), len(tab.Columns))
 				}
 			}
@@ -92,6 +94,30 @@ func TestAllExperimentsWellFormed(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestHandWrittenTablesReadNoTrace pins what the shard merge assumes of
+// the experiments no shard runs: it builds them itself, so each must read
+// no trace, leaving a fresh store's counters at zero.
+func TestHandWrittenTablesReadNoTrace(t *testing.T) {
+	var ids []string
+	for _, id := range IDs() {
+		if registry[id].d != nil {
+			continue
+		}
+		ids = append(ids, id)
+		p := tiny()
+		p.Store = tracestore.New(0)
+		if _, err := Run(id, p); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if st := p.Store.Stats(); st != (tracestore.Stats{}) {
+			t.Errorf("%s touched the trace store: %+v", id, st)
+		}
+	}
+	if strings.Join(ids, " ") != "table3.1 table3.2" {
+		t.Errorf("hand-written tables are %v, want table3.1 and table3.2", ids)
 	}
 }
 

@@ -35,14 +35,15 @@ func init() {
 			preds:   []vpSpec{classifiedStride},
 			cells:   pairs(taken, ms, strideVP),
 			row:     func(r row) []float64 { return r.speedups(taken, false) },
-			agg: NoteAgg{Key: "branch_accuracy", Format: "mean branch prediction accuracy across runs: %.1f%%",
-				Factor: 100, Weight: len(Fig5Taken)},
-			contrib: func(r row) float64 {
-				var acc float64
-				for _, col := range taken {
-					acc += r.pipe(col, "vp").Fetch.BranchAccuracy()
-				}
-				return acc
+			agg: &aggNote{format: "mean branch prediction accuracy across runs: %.1f%%",
+				factor: 100, weight: len(Fig5Taken),
+				contrib: func(r row) float64 {
+					var acc float64
+					for _, col := range taken {
+						acc += r.pipe(col, "vp").Fetch.BranchAccuracy()
+					}
+					return acc
+				},
 			},
 		}
 	}
@@ -65,14 +66,15 @@ func init() {
 			unit:    "%",
 			cells:   pairs(tcCols, []machine{tc("btb-2k"), tc("ideal")}, banked16),
 			row:     func(r row) []float64 { return r.speedups(tcCols, false) },
-			agg: NoteAgg{Key: "tc_hit_rate", Format: "mean trace-cache hit rate across runs: %.1f%%",
-				Factor: 100, Weight: len(tcCols)},
-			contrib: func(r row) float64 {
-				var hits float64
-				for _, col := range tcCols {
-					hits += r.pipe(col, "vp").Fetch.TCHitRate()
-				}
-				return hits
+			agg: &aggNote{format: "mean trace-cache hit rate across runs: %.1f%%",
+				factor: 100, weight: len(tcCols),
+				contrib: func(r row) float64 {
+					var hits float64
+					for _, col := range tcCols {
+						hits += r.pipe(col, "vp").Fetch.TCHitRate()
+					}
+					return hits
+				},
 			},
 		},
 		// Section 4: how often trace-cache fetch groups contain duplicate

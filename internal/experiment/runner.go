@@ -5,13 +5,15 @@ package experiment
 // the direct predictors whose recorded outcome streams its cells replay,
 // one workload's named cells — (column, variant) pairs mapped to
 // comparable machine specs — and a row function over the named results.
-// decl.run executes any of them the same way: fetch the feeds, record the
-// outcome streams and run the cells (over flat feeds one plan cell per
-// key, over streamed ones one plan cell per workload that reads its trace
-// once), and build the rows, the average row and the notes in
-// presentation order. Apart from table3.2's walk-through, it is the only
-// place that builds a fetch engine, a BTB, a prediction network or a
-// machine configuration.
+// decl.run executes any of them the same way, in two steps: decl.rows
+// fetches the feeds, records the outcome streams and runs the cells (over
+// flat feeds one plan cell per key, over streamed ones one plan cell per
+// workload that reads its trace once) and returns one WorkloadRow per
+// workload; decl.table builds the table from those rows in presentation
+// order. A shard run stops after rows, and the merge calls table, so one
+// function assembles every declared table. Apart from table3.2's
+// walk-through, this file is the only place that builds a fetch engine, a
+// BTB, a prediction network or a machine configuration.
 
 import (
 	"context"
@@ -43,13 +45,21 @@ type decl struct {
 	preds []vpSpec
 	// cells are one workload's cells, in declaration order.
 	cells []cell
-	// row computes one workload's table cells from its named results.
+	// row computes one workload's table cells, one per column, from its
+	// named results.
 	row   func(r row) []float64
 	notes []string
-	// When contrib is set, agg is the run-wide aggregate note (notes.go)
-	// and contrib gives each workload's raw contribution to it.
-	agg     NoteAgg
-	contrib func(r row) float64
+	// agg, when set, is the run-wide aggregate note (notes.go).
+	agg *aggNote
+}
+
+// WorkloadRow is one workload's row of a declared experiment's table: its
+// cells, one per column, and its raw contribution to the table's aggregate
+// note when the table has one. It is what a shard artifact carries.
+type WorkloadRow struct {
+	Workload string    `json:"workload"`
+	Cells    []float64 `json:"cells"`
+	Contrib  float64   `json:"contrib,omitempty"`
 }
 
 // cell is one named cell of a workload: its key's column and variant, and
@@ -111,17 +121,26 @@ type pipeRun struct {
 	net core.Stats
 }
 
-// run executes d under p. A direct predictor's outcomes depend on the
-// trace alone (DESIGN.md §7), so each is recorded once per workload, with
-// the predictor's name as column and "outcomes" as variant, and every cell
-// of the run replays its workload's stream instead of driving a predictor
+// run executes d under p and builds its table.
+func (d decl) run(p Params) (*Table, error) {
+	rows, err := d.rows(p)
+	if err != nil {
+		return nil, err
+	}
+	return d.table(rows), nil
+}
+
+// rows runs d's cells under p and returns one row per selected workload,
+// in presentation order. A direct predictor's outcomes depend on the trace
+// alone (DESIGN.md §7), so each is recorded once per workload, with the
+// predictor's name as column and "outcomes" as variant, and every cell of
+// the run replays its workload's stream instead of driving a predictor
 // again. The streams live for this one run. Flat feeds run one plan cell
 // per key (runCells); streamed feeds run one plan cell per workload that
 // reads its trace once (runPasses). Either way each result is filed under
-// its cell's key, and the rows, the average row and the aggregate note are
-// built from them in presentation order, so the float64 addition order
-// never depends on cell scheduling.
-func (d decl) run(p Params) (*Table, error) {
+// its cell's key and read back in presentation order, so no row depends on
+// cell scheduling.
+func (d decl) rows(p Params) ([]WorkloadRow, error) {
 	feeds, err := p.feeds()
 	if err != nil {
 		return nil, err
@@ -135,26 +154,34 @@ func (d decl) run(p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{Title: d.title, RowHeader: "benchmark", Columns: append([]string(nil), d.columns...), Unit: d.unit}
-	agg := d.agg
-	for _, name := range names {
+	rows := make([]WorkloadRow, len(names))
+	for i, name := range names {
 		r := row{name: name, n: p.TraceLen, res: res, recs: recs}
-		t.AddRow(name, d.row(r)...)
-		if d.contrib != nil {
-			agg.Contribs = append(agg.Contribs, NoteContrib{Workload: name, Value: d.contrib(r)})
+		rows[i] = WorkloadRow{Workload: name, Cells: d.row(r)}
+		if d.agg != nil {
+			rows[i].Contrib = d.agg.contrib(r)
 		}
+	}
+	return rows, nil
+}
+
+// table builds d's table from rows, which are in presentation order: the
+// rows, the average row, the static notes and the aggregate note. Every
+// float64 sum runs in rows' order, so a table built from a merged shard set
+// is byte-identical to one built from an unsharded run.
+func (d decl) table(rows []WorkloadRow) *Table {
+	t := &Table{Title: d.title, RowHeader: "benchmark", Columns: append([]string(nil), d.columns...), Unit: d.unit}
+	for _, r := range rows {
+		t.AddRow(r.Workload, r.Cells...)
 	}
 	t.AppendAverage()
 	for _, note := range d.notes {
 		t.AddNote("%s", note)
 	}
-	if d.contrib != nil {
-		agg.render(t)
-		if p.aggs != nil {
-			*p.aggs = append(*p.aggs, agg)
-		}
+	if d.agg != nil {
+		d.agg.render(t, rows)
 	}
-	return t, nil
+	return t
 }
 
 // runCells runs d over flat feeds with one plan cell per key: the outcome

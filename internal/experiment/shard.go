@@ -6,21 +6,14 @@ package experiment
 // ShardFile; MergeShardFiles recombines a complete set of shard files into
 // tables byte-identical to an unsharded run.
 //
-// Byte-identity holds because the merge replays exactly the unsharded
-// arithmetic in exactly the unsharded order:
-//
-//   - rows are reassembled in the full workload presentation order (each
-//     shard's partial table carries its assigned rows in that same order,
-//     so the merge is a deterministic interleave);
-//   - the "average" row is recomputed by stats.AppendAverage over the
-//     reassembled rows — the same presentation-order float64 summation the
-//     unsharded runner performs;
-//   - multi-seed runs ship per-seed partial tables and the merge applies
-//     stats.AverageTables to the reassembled per-seed tables, so the
-//     mean-of-rows operation order matches RunSeeds exactly;
-//   - run-wide aggregate notes travel as raw NoteAgg contributions (the
-//     rendered %.1f string cannot be merged) and are re-rendered over the
-//     full workload set in presentation order.
+// A shard stores only its workloads' rows (decl.rows), and the merge
+// gathers every shard's rows back into presentation order and builds the
+// table with the same decl.table an unsharded run calls, so the merge
+// repeats the unsharded arithmetic in the unsharded order by construction.
+// Multi-seed runs carry one row set per seed, and the merge averages the
+// per-seed tables with stats.AverageTables, as RunSeeds does. The
+// hand-written tables read no trace, so no shard runs them and the merge
+// builds them itself.
 //
 // The file format has no wall-clock or host-identity fields: a shard file
 // is a pure function of (experiments, params, shard), which the root
@@ -32,19 +25,20 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"sort"
 
 	"valuepred/internal/plan"
 	"valuepred/internal/stats"
 )
 
-// ShardFileVersion is the shard artifact schema version; MergeShardFiles
-// rejects files written by an incompatible producer.
-const ShardFileVersion = 1
+// ShardFileVersion is the shard artifact schema version; DecodeShardFile
+// and MergeShardFiles reject any other.
+const ShardFileVersion = 2
 
 // ShardFile is the artifact one shard run exports: the partition identity,
 // the full run parameters (so a merge can validate that every shard ran
-// the same request), and per-experiment partial results.
+// the same request), and per-experiment rows.
 type ShardFile struct {
 	Version     int               `json:"version"`
 	Shard       plan.Shard        `json:"shard"`
@@ -53,9 +47,9 @@ type ShardFile struct {
 }
 
 // ShardParams is the canonicalized run request a shard executed. Workloads
-// is the FULL selected list in presentation order (the shard's assigned
-// subset is recorded per experiment); every shard of one run must carry
-// identical ShardParams.
+// is the FULL selected list in presentation order, of which the shard owns
+// its plan.Shard partition; every shard of one run must carry identical
+// ShardParams.
 type ShardParams struct {
 	Seed      int64    `json:"seed"`
 	TraceLen  int      `json:"trace_len"`
@@ -64,27 +58,19 @@ type ShardParams struct {
 	Stream    bool     `json:"stream,omitempty"`
 }
 
-// ExperimentShard is one experiment's partial result on one shard.
+// ExperimentShard is one experiment's result on one shard: one run per
+// seed, in seed order.
 type ExperimentShard struct {
-	Experiment string `json:"experiment"`
-	// WorkloadIndependent marks experiments whose table ignores the
-	// workload axis entirely (table3.2's fixed walkthrough): every shard
-	// runs them whole and the merge verifies the copies agree.
-	WorkloadIndependent bool `json:"workload_independent,omitempty"`
-	// Assigned is the shard's workload subset in presentation order.
-	Assigned []string `json:"assigned"`
-	// Runs holds one partial result per seed, in seed order.
-	Runs []ShardRun `json:"runs"`
+	Experiment string     `json:"experiment"`
+	Runs       []ShardRun `json:"runs"`
 }
 
-// ShardRun is one (experiment, seed) partial result: the partial table
-// over the assigned workloads (nil when the shard owns no workload and the
-// experiment is workload-dependent) plus the raw aggregate-note
-// collectors the merge re-renders over the full workload set.
+// ShardRun is one (experiment, seed) result on one shard: the rows of the
+// workloads the shard owns, in presentation order. A hand-written table,
+// or a shard that owns no workload, has none.
 type ShardRun struct {
-	Seed  int64        `json:"seed"`
-	Table *stats.Table `json:"table"`
-	Aggs  []NoteAgg    `json:"aggs,omitempty"`
+	Seed int64         `json:"seed"`
+	Rows []WorkloadRow `json:"rows,omitempty"`
 }
 
 // MergedTable is one experiment's recombined table.
@@ -93,29 +79,11 @@ type MergedTable struct {
 	Table      *stats.Table
 }
 
-// workloadIndependent registers the experiments whose tables do not have
-// one row per workload. The shard/merge path must know them: their tables
-// cannot be row-partitioned, so every shard runs them whole.
-var workloadIndependent = map[string]bool{
-	"table3.2": true,
-}
-
-// perRowNotes registers the experiments that append exactly one note per
-// workload row (in row order), so the merge interleaves the shards' notes
-// by the same round-robin that reassembles the rows. Experiments outside
-// this map and without NoteAgg collectors must render notes that are
-// identical on every shard (static annotations); the merge verifies that
-// and fails loudly if a new experiment starts emitting unregistered
-// per-workload notes.
-var perRowNotes = map[string]bool{
-	"table3.1": true,
-}
-
-// RunShardFileCtx executes the shard's partition of each experiment id —
-// one partial run per seed — and returns the artifact to merge. The
-// partition is plan.Shard round-robin over the full selected workload list
-// in presentation order; a shard that owns no workloads still runs the
-// workload-independent experiments and records empty runs for the rest.
+// RunShardFileCtx executes the shard's partition of each declared
+// experiment id — one run of its rows per seed — and returns the artifact
+// to merge. The partition is plan.Shard round-robin over the full selected
+// workload list in presentation order; a shard that owns no workload
+// records empty runs.
 func RunShardFileCtx(ctx context.Context, ids []string, p Params, seeds []int64, sh plan.Shard) (*ShardFile, error) {
 	if err := sh.Validate(); err != nil {
 		return nil, err
@@ -127,7 +95,7 @@ func RunShardFileCtx(ctx context.Context, ids []string, p Params, seeds []int64,
 		seeds = []int64{p.Seed}
 	}
 	full := append([]string(nil), p.workloads()...)
-	assigned := sh.Partition(full)
+	own := sh.Partition(full)
 	f := &ShardFile{
 		Version: ShardFileVersion,
 		Shard:   sh,
@@ -140,31 +108,23 @@ func RunShardFileCtx(ctx context.Context, ids []string, p Params, seeds []int64,
 		},
 	}
 	for _, id := range ids {
-		if _, ok := registry[id]; !ok {
-			return nil, fmt.Errorf("experiment: unknown id %q (have %v)", id, IDs())
+		e, err := lookup(id)
+		if err != nil {
+			return nil, err
 		}
-		es := ExperimentShard{
-			Experiment:          id,
-			WorkloadIndependent: workloadIndependent[id],
-			Assigned:            assigned,
-		}
+		es := ExperimentShard{Experiment: id}
 		for _, seed := range seeds {
 			run := ShardRun{Seed: seed}
-			if len(assigned) > 0 || es.WorkloadIndependent {
+			if e.d != nil && len(own) > 0 {
 				ps := p
-				ps.ctx = ctx
-				ps.Seed = seed
-				if !es.WorkloadIndependent {
-					ps.Workloads = assigned
-				}
-				var aggs []NoteAgg
-				ps.aggs = &aggs
-				t, err := Run(id, ps)
+				ps.ctx, ps.Seed, ps.Workloads = ctx, seed, own
+				err := ps.narrate(id, func() (err error) {
+					run.Rows, err = e.d.rows(ps)
+					return err
+				})
 				if err != nil {
 					return nil, err
 				}
-				run.Table = t
-				run.Aggs = aggs
 			}
 			es.Runs = append(es.Runs, run)
 		}
@@ -187,22 +147,30 @@ func (f *ShardFile) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// DecodeShardFile reads one shard artifact, rejecting unknown versions.
+// DecodeShardFile reads one shard artifact, rejecting other versions.
 func DecodeShardFile(r io.Reader) (*ShardFile, error) {
 	var f ShardFile
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
 		return nil, fmt.Errorf("experiment: decoding shard file: %w", err)
 	}
-	if f.Version != ShardFileVersion {
-		return nil, fmt.Errorf("experiment: shard file version %d, want %d", f.Version, ShardFileVersion)
+	if err := f.checkVersion(); err != nil {
+		return nil, err
 	}
 	return &f, nil
 }
 
+func (f *ShardFile) checkVersion() error {
+	if f.Version != ShardFileVersion {
+		return fmt.Errorf("experiment: shard file version %d, want %d", f.Version, ShardFileVersion)
+	}
+	return nil
+}
+
 // MergeShardFiles recombines a complete shard set (indices 1..m of an
 // m-way run, in any order) into one table per experiment, byte-identical
-// to the unsharded rendering. Incomplete, overlapping or mismatched sets
-// are rejected with an error naming the first problem.
+// to the unsharded rendering. Incomplete, overlapping or mismatched sets,
+// and rows that are not exactly each shard's workloads, are rejected with
+// an error naming the first problem.
 func MergeShardFiles(files []*ShardFile) ([]MergedTable, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("experiment: no shard files to merge")
@@ -211,11 +179,19 @@ func MergeShardFiles(files []*ShardFile) ([]MergedTable, error) {
 		if f == nil {
 			return nil, fmt.Errorf("experiment: shard file %d of %d is null", i+1, len(files))
 		}
+		if err := f.checkVersion(); err != nil {
+			return nil, err
+		}
 	}
 	fs := append([]*ShardFile(nil), files...)
 	sort.Slice(fs, func(i, j int) bool { return fs[i].Shard.Index < fs[j].Shard.Index })
 	first := fs[0]
-	if err := repeated(first.Params.Workloads); err != nil {
+	full := first.Params.Workloads
+	if len(full) == 0 {
+		return nil, fmt.Errorf("experiment: shard %s names no workloads", first.Shard)
+	}
+	p := Params{Seed: first.Params.Seed, TraceLen: first.Params.TraceLen, Workloads: full}
+	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	of := first.Shard.Of
@@ -223,9 +199,6 @@ func MergeShardFiles(files []*ShardFile) ([]MergedTable, error) {
 		return nil, fmt.Errorf("experiment: have %d shard files, need all %d shards of a %d-way run", len(fs), of, of)
 	}
 	for i, f := range fs {
-		if f.Version != ShardFileVersion {
-			return nil, fmt.Errorf("experiment: shard file version %d, want %d", f.Version, ShardFileVersion)
-		}
 		if f.Shard.Of != of || f.Shard.Index != i+1 {
 			return nil, fmt.Errorf("experiment: shard files must cover 1/%d..%d/%d exactly once; have %s where %d/%d was expected",
 				of, of, of, f.Shard, i+1, of)
@@ -242,16 +215,16 @@ func MergeShardFiles(files []*ShardFile) ([]MergedTable, error) {
 		}
 		for ei := range f.Experiments {
 			a, b := f.Experiments[ei], first.Experiments[ei]
-			if a.Experiment != b.Experiment || a.WorkloadIndependent != b.WorkloadIndependent {
+			if a.Experiment != b.Experiment {
 				return nil, fmt.Errorf("experiment: shard %s experiment %d is %q, shard %s has %q",
 					f.Shard, ei, a.Experiment, first.Shard, b.Experiment)
 			}
 			if len(a.Runs) == 0 {
 				return nil, fmt.Errorf("experiment: %s: shard %s has no seed runs", a.Experiment, f.Shard)
 			}
-			if len(a.Runs) != len(b.Runs) {
-				return nil, fmt.Errorf("experiment: %s: shard %s has %d seed runs, shard %s has %d",
-					a.Experiment, f.Shard, len(a.Runs), first.Shard, len(b.Runs))
+			if len(a.Runs) != f.Params.Seeds {
+				return nil, fmt.Errorf("experiment: %s: shard %s has %d seed runs for %d seeds",
+					a.Experiment, f.Shard, len(a.Runs), f.Params.Seeds)
 			}
 			for ri := range a.Runs {
 				if a.Runs[ri].Seed != b.Runs[ri].Seed {
@@ -262,20 +235,29 @@ func MergeShardFiles(files []*ShardFile) ([]MergedTable, error) {
 		}
 	}
 	var out []MergedTable
+	seen := make(map[string]bool, len(first.Experiments))
 	for ei, es := range first.Experiments {
+		// Each experiment once, so that the work a merge does, the
+		// hand-written tables included, is bounded by the seeds it averages.
+		if seen[es.Experiment] {
+			return nil, fmt.Errorf("experiment: %s listed twice", es.Experiment)
+		}
+		seen[es.Experiment] = true
+		e, err := lookup(es.Experiment)
+		if err != nil {
+			return nil, err
+		}
 		perSeed := make([]*stats.Table, 0, len(es.Runs))
-		for ri := range es.Runs {
-			t, err := mergeRun(fs, ei, ri)
+		for ri, run := range es.Runs {
+			t, err := mergeRun(fs, ei, ri, e, p)
 			if err != nil {
-				return nil, fmt.Errorf("experiment: merging %s seed %d: %w", es.Experiment, es.Runs[ri].Seed, err)
+				return nil, fmt.Errorf("experiment: merging %s seed %d: %w", es.Experiment, run.Seed, err)
 			}
 			perSeed = append(perSeed, t)
 		}
 		tab := perSeed[0]
 		if len(perSeed) > 1 {
-			var err error
-			tab, err = stats.AverageTables(perSeed)
-			if err != nil {
+			if tab, err = stats.AverageTables(perSeed); err != nil {
 				return nil, fmt.Errorf("experiment: averaging merged %s: %w", es.Experiment, err)
 			}
 		}
@@ -284,208 +266,51 @@ func MergeShardFiles(files []*ShardFile) ([]MergedTable, error) {
 	return out, nil
 }
 
-// mergeRun reassembles one (experiment, seed) full table from the shard
-// set: rows interleaved back into full presentation order, the average row
-// recomputed, aggregate notes re-rendered from the pooled raw
-// contributions, and the remaining notes either interleaved (registered
-// per-row experiments) or verified identical across shards.
-func mergeRun(fs []*ShardFile, ei, ri int) (*stats.Table, error) {
-	es0 := fs[0].Experiments[ei]
-	if es0.WorkloadIndependent {
-		var ref *stats.Table
+// mergeRun builds one (experiment, seed) table of a validated shard set
+// fs, whose full run parameters are p. A hand-written table is run under p
+// at the run's seed. A declared one is built by decl.table from every
+// shard's rows, gathered into p's presentation order: workload i's row is
+// the (i/m)-th row of shard (i mod m)+1.
+func mergeRun(fs []*ShardFile, ei, ri int, e entry, p Params) (*stats.Table, error) {
+	if e.d == nil {
 		for _, f := range fs {
-			t := f.Experiments[ei].Runs[ri].Table
-			if t == nil {
-				continue
-			}
-			if ref == nil {
-				ref = t
-				continue
-			}
-			if !reflect.DeepEqual(ref, t) {
-				return nil, fmt.Errorf("workload-independent tables disagree between shards")
+			if rows := f.Experiments[ei].Runs[ri].Rows; len(rows) > 0 {
+				return nil, fmt.Errorf("shard %s has a row for %q, but the table reads no workload's trace", f.Shard, rows[0].Workload)
 			}
 		}
-		if ref == nil {
-			return nil, fmt.Errorf("no shard produced the workload-independent table")
-		}
-		return ref, nil
+		p.Seed = fs[0].Experiments[ei].Runs[ri].Seed
+		return e.run(p)
 	}
-	full := fs[0].Params.Workloads
-	of := len(fs)
-	// shardTable returns the owner shard's partial table for workload
-	// position i; the owner is fixed by the round-robin partition.
-	shardTable := func(i int) (*stats.Table, error) {
-		t := fs[i%of].Experiments[ei].Runs[ri].Table
-		if t == nil {
-			return nil, fmt.Errorf("shard %s owns workload %q but produced no table", fs[i%of].Shard, full[i])
-		}
-		return t, nil
-	}
-	skel, err := shardTable(0)
-	if err != nil {
-		return nil, err
-	}
-	out := &stats.Table{
-		Title:     skel.Title,
-		RowHeader: skel.RowHeader,
-		Columns:   append([]string(nil), skel.Columns...),
-		Unit:      skel.Unit,
-	}
-	// Reassemble the data rows in full presentation order. Each shard's
-	// partial table lists its assigned rows first, in that same order, so a
-	// per-shard cursor walks them without any lookup by label — though the
-	// labels are still verified, so a runner that stops labelling rows by
-	// workload fails here instead of merging garbage.
-	cursors := make([]int, of)
-	hasAverage := false
-	for i, w := range full {
-		t, err := shardTable(i)
-		if err != nil {
+	for _, f := range fs {
+		if err := checkRows(f.Shard, p.Workloads, f.Experiments[ei].Runs[ri].Rows, len(e.d.columns)); err != nil {
 			return nil, err
 		}
-		if !sameSkeleton(skel, t) {
-			return nil, fmt.Errorf("shard %s table skeleton disagrees with shard %s", fs[i%of].Shard, fs[0].Shard)
-		}
-		if len(t.Rows) > 0 && t.Rows[len(t.Rows)-1].Label == "average" {
-			hasAverage = true
-		}
-		cur := cursors[i%of]
-		cursors[i%of]++
-		if cur >= len(t.Rows) {
-			return nil, fmt.Errorf("shard %s has %d rows, fewer than its assigned workloads", fs[i%of].Shard, len(t.Rows))
-		}
-		row := t.Rows[cur]
-		if row.Label != w {
-			return nil, fmt.Errorf("shard %s row %d is %q, expected workload %q", fs[i%of].Shard, cur, row.Label, w)
-		}
-		out.AddRow(row.Label, append([]float64(nil), row.Cells...)...)
 	}
-	if hasAverage {
-		out.AppendAverage()
+	rows := make([]WorkloadRow, len(p.Workloads))
+	for i := range rows {
+		rows[i] = fs[i%len(fs)].Experiments[ei].Runs[ri].Rows[i/len(fs)]
 	}
-	if err := mergeNotes(out, fs, ei, ri, full); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return e.d.table(rows), nil
 }
 
-// mergeNotes reconstructs the merged table's notes: non-aggregate notes
-// first (interleaved for registered per-row experiments, otherwise
-// verified identical across shards), then the aggregate notes re-rendered
-// from the pooled contributions in full presentation order.
-func mergeNotes(out *stats.Table, fs []*ShardFile, ei, ri int, full []string) error {
-	id := fs[0].Experiments[ei].Experiment
-	of := len(fs)
-	// One aggregate collector list per contributing shard; shards with no
-	// assigned workloads recorded none.
-	nAggs := -1
-	for _, f := range fs {
-		r := f.Experiments[ei].Runs[ri]
-		if r.Table == nil {
-			continue
-		}
-		if nAggs == -1 {
-			nAggs = len(r.Aggs)
-		} else if len(r.Aggs) != nAggs {
-			return fmt.Errorf("shard %s recorded %d aggregate notes, shard %s %d",
-				f.Shard, len(r.Aggs), fs[0].Shard, nAggs)
+// checkRows reports the first way rows differ from shard sh's workloads of
+// full, in order, each with cols cells.
+func checkRows(sh plan.Shard, full []string, rows []WorkloadRow, cols int) error {
+	own := sh.Partition(full)
+	for j, r := range rows {
+		switch {
+		case !slices.Contains(own, r.Workload):
+			return fmt.Errorf("shard %s has a row for %q, which it does not own", sh, r.Workload)
+		case j >= len(own):
+			return fmt.Errorf("shard %s has an extra row for %q", sh, r.Workload)
+		case r.Workload != own[j]:
+			return fmt.Errorf("shard %s row %d is %q, want its workloads %v in order", sh, j, r.Workload, own)
+		case len(r.Cells) != cols:
+			return fmt.Errorf("shard %s row %q has %d cells for %d columns", sh, r.Workload, len(r.Cells), cols)
 		}
 	}
-	if nAggs < 0 {
-		nAggs = 0
-	}
-	// Non-aggregate notes: every contributing shard's notes minus the
-	// trailing nAggs aggregate renderings.
-	plain := func(i int) ([]string, error) {
-		r := fs[i].Experiments[ei].Runs[ri]
-		if r.Table == nil {
-			return nil, nil
-		}
-		if len(r.Table.Notes) < nAggs {
-			return nil, fmt.Errorf("shard %s has %d notes but %d aggregate collectors", fs[i].Shard, len(r.Table.Notes), nAggs)
-		}
-		return r.Table.Notes[:len(r.Table.Notes)-nAggs], nil
-	}
-	if perRowNotes[id] {
-		// One note per workload row, interleaved by the same round-robin
-		// that reassembled the rows.
-		cursors := make([]int, of)
-		for i := range full {
-			notes, err := plain(i % of)
-			if err != nil {
-				return err
-			}
-			cur := cursors[i%of]
-			cursors[i%of]++
-			if cur >= len(notes) {
-				return fmt.Errorf("shard %s has %d per-row notes, fewer than its assigned workloads", fs[i%of].Shard, len(notes))
-			}
-			out.Notes = append(out.Notes, notes[cur])
-		}
-	} else {
-		// Static annotations: identical on every contributing shard.
-		var ref []string
-		refShard := -1
-		for i := range fs {
-			notes, err := plain(i)
-			if err != nil {
-				return err
-			}
-			if fs[i].Experiments[ei].Runs[ri].Table == nil {
-				continue
-			}
-			if refShard == -1 {
-				ref, refShard = notes, i
-				continue
-			}
-			if !reflect.DeepEqual(ref, notes) {
-				return fmt.Errorf("notes disagree between shard %s and shard %s; if %s emits per-workload notes, register it in perRowNotes",
-					fs[refShard].Shard, fs[i].Shard, id)
-			}
-		}
-		out.Notes = append(out.Notes, ref...)
-	}
-	// Aggregate notes: pool the raw contributions back into full
-	// presentation order and re-render. The per-shard contribution lists
-	// are keyed maps only for lookup — iteration is over the ordered full
-	// workload list, so no map order can reach the output.
-	for k := 0; k < nAggs; k++ {
-		var merged NoteAgg
-		byShard := make([]map[string]float64, of)
-		for i, f := range fs {
-			r := f.Experiments[ei].Runs[ri]
-			if r.Table == nil {
-				continue
-			}
-			a := r.Aggs[k]
-			if merged.Key == "" {
-				merged = NoteAgg{Key: a.Key, Format: a.Format, Factor: a.Factor, Weight: a.Weight}
-			} else if a.Key != merged.Key || a.Format != merged.Format || a.Factor != merged.Factor || a.Weight != merged.Weight {
-				return fmt.Errorf("aggregate note %d disagrees between shards (%q vs %q)", k, a.Key, merged.Key)
-			}
-			m := make(map[string]float64, len(a.Contribs))
-			for _, c := range a.Contribs {
-				m[c.Workload] = c.Value
-			}
-			byShard[i] = m
-		}
-		for i, w := range full {
-			m := byShard[i%of]
-			v, ok := m[w]
-			if !ok {
-				return fmt.Errorf("shard %s recorded no %q contribution for workload %q", fs[i%of].Shard, merged.Key, w)
-			}
-			merged.Contribs = append(merged.Contribs, NoteContrib{Workload: w, Value: v})
-		}
-		merged.render(out)
+	if len(rows) < len(own) {
+		return fmt.Errorf("shard %s has no row for workload %q", sh, own[len(rows)])
 	}
 	return nil
-}
-
-// sameSkeleton reports whether two partial tables agree on everything but
-// rows and notes.
-func sameSkeleton(a, b *stats.Table) bool {
-	return a.Title == b.Title && a.RowHeader == b.RowHeader &&
-		a.Unit == b.Unit && reflect.DeepEqual(a.Columns, b.Columns)
 }

@@ -5,10 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"strings"
 	"testing"
 
 	"valuepred/internal/plan"
-	"valuepred/internal/stats"
 	"valuepred/internal/tracestore"
 )
 
@@ -59,50 +59,116 @@ func mergeBody(t *testing.T, body []byte) {
 // FuzzMergeShardFiles feeds untrusted merge request bodies to
 // MergeShardFiles, which must return merged tables or an error, never
 // panic. The seed corpus in testdata/fuzz holds a real two-shard fig3.1
-// pair and the two bodies that used to crash it: an experiment with no
-// seed runs, and a null shard file.
+// pair and the two bodies that used to crash the merge: an experiment with
+// no seed runs, and a null shard file. The seeds added here are the intact
+// set and every malformed set of TestMergeShardFilesRejectsMalformedSets.
 func FuzzMergeShardFiles(f *testing.F) {
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`[null]`))
+	for _, c := range append(malformedSets(), shardSet{"intact", "", intactSet()}) {
+		body, err := json.Marshal(c.files)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
 	f.Fuzz(mergeBody)
 }
 
-// TestMergeShardFilesRejectsMalformedSets pins the inputs that used to
-// panic, and a set listing a workload twice, which used to merge into a
-// table with two rows for it: each must now come back as an error.
-func TestMergeShardFilesRejectsMalformedSets(t *testing.T) {
-	shard := func(i int, runs []ShardRun) *ShardFile {
-		return &ShardFile{
+// shardSet is a named set of shard files and, for a malformed set, a
+// substring of the error the merge must reject it with.
+type shardSet struct {
+	name, want string
+	files      []*ShardFile
+}
+
+// fig31Set returns an m-way fig3.1 shard set over workloads, shard i
+// holding runs[i-1] as its only seed's rows.
+func fig31Set(workloads []string, runs ...[]WorkloadRow) []*ShardFile {
+	var fs []*ShardFile
+	for i, rows := range runs {
+		fs = append(fs, &ShardFile{
 			Version: ShardFileVersion,
-			Shard:   plan.Shard{Index: i, Of: 2},
-			Params:  ShardParams{Seed: 1, TraceLen: 100, Seeds: 1, Workloads: []string{"go", "li"}},
+			Shard:   plan.Shard{Index: i + 1, Of: len(runs)},
+			Params:  ShardParams{Seed: 1, TraceLen: 100, Seeds: 1, Workloads: workloads},
 			Experiments: []ExperimentShard{{
-				Experiment: "fig3.1", Assigned: []string{[]string{"go", "li"}[i-1]}, Runs: runs,
+				Experiment: "fig3.1", Runs: []ShardRun{{Seed: 1, Rows: rows}},
 			}},
-		}
+		})
 	}
-	cases := []struct {
-		name  string
-		files []*ShardFile
-	}{
-		{"no seed runs", []*ShardFile{shard(1, []ShardRun{}), shard(2, []ShardRun{})}},
-		{"null file", []*ShardFile{nil}},
-		{"null among files", []*ShardFile{shard(1, nil), nil}},
-		{"no experiments", []*ShardFile{{Version: ShardFileVersion, Shard: plan.Shard{Index: 1, Of: 1}}}},
-		{"repeated workload", []*ShardFile{{
-			Version: ShardFileVersion,
-			Shard:   plan.Shard{Index: 1, Of: 1},
-			Params:  ShardParams{Seed: 1, TraceLen: 100, Seeds: 1, Workloads: []string{"li", "li"}},
-			Experiments: []ExperimentShard{{Experiment: "fig3.1", Assigned: []string{"li", "li"}, Runs: []ShardRun{{
-				Seed: 1,
-				Table: &stats.Table{Title: "fig3.1", Columns: []string{"BW=4"},
-					Rows: []stats.Row{{Label: "li", Cells: []float64{1}}, {Label: "li", Cells: []float64{1}}}},
-			}}}},
-		}}},
+	return fs
+}
+
+// fig31Row is a fig3.1 row of workload w with n cells.
+func fig31Row(w string, n int) WorkloadRow {
+	return WorkloadRow{Workload: w, Cells: make([]float64, n)}
+}
+
+// intactSet is a well-formed two-shard fig3.1 set over go and li; each
+// malformed set differs from it in one way.
+func intactSet() []*ShardFile {
+	cols := len(Fig31Widths)
+	return fig31Set([]string{"go", "li"}, []WorkloadRow{fig31Row("go", cols)}, []WorkloadRow{fig31Row("li", cols)})
+}
+
+// malformedSets are the sets the merge must reject: those that used to
+// panic it, one that lists a workload twice, which used to merge into a
+// table with two rows for it, and one per rule the merge checks.
+func malformedSets() []shardSet {
+	cols := len(Fig31Widths)
+	goRow, liRow := fig31Row("go", cols), fig31Row("li", cols)
+	goLi := []string{"go", "li"}
+	with := func(edit func(fs []*ShardFile)) []*ShardFile {
+		fs := intactSet()
+		edit(fs)
+		return fs
 	}
-	for _, c := range cases {
-		if _, err := MergeShardFiles(c.files); err == nil {
-			t.Errorf("%s: merge succeeded", c.name)
+	return []shardSet{
+		{"version 1", "version 1, want 2", with(func(fs []*ShardFile) { fs[0].Version, fs[1].Version = 1, 1 })},
+		{"no seed runs", "no seed runs", with(func(fs []*ShardFile) {
+			fs[0].Experiments[0].Runs, fs[1].Experiments[0].Runs = []ShardRun{}, []ShardRun{}
+		})},
+		{"null file", "is null", []*ShardFile{nil}},
+		{"null among files", "is null", []*ShardFile{intactSet()[0], nil}},
+		{"no experiments", "ran no experiments", with(func(fs []*ShardFile) { fs[1].Experiments = nil })},
+		{"more seed runs than seeds", "2 seed runs for 1 seeds", with(func(fs []*ShardFile) {
+			for _, f := range fs {
+				f.Experiments[0].Runs = append(f.Experiments[0].Runs, f.Experiments[0].Runs[0])
+			}
+		})},
+		{"experiment listed twice", "listed twice", with(func(fs []*ShardFile) {
+			for _, f := range fs {
+				f.Experiments = append(f.Experiments, f.Experiments[0])
+			}
+		})},
+		{"unknown experiment", "unknown id", with(func(fs []*ShardFile) {
+			fs[0].Experiments[0].Experiment, fs[1].Experiments[0].Experiment = "fig9.9", "fig9.9"
+		})},
+		{"no workloads", "names no workloads", fig31Set([]string{}, nil)},
+		{"unknown workload", "unknown workload", fig31Set([]string{"go", "bogus"}, []WorkloadRow{goRow, fig31Row("bogus", cols)})},
+		{"repeated workload", "listed twice", fig31Set([]string{"li", "li"}, []WorkloadRow{liRow, liRow})},
+		{"row a shard does not own", "does not own", fig31Set(goLi, []WorkloadRow{goRow, liRow}, []WorkloadRow{liRow})},
+		{"missing row", "no row for", fig31Set(goLi, []WorkloadRow{goRow}, nil)},
+		{"extra row", "extra row", fig31Set(goLi, []WorkloadRow{goRow, goRow}, []WorkloadRow{liRow})},
+		{"rows out of order", "in order", fig31Set(goLi, []WorkloadRow{liRow, goRow})},
+		{"short row", "4 cells for 5 columns", fig31Set(goLi, []WorkloadRow{fig31Row("go", cols-1)}, []WorkloadRow{liRow})},
+		{"long row", "6 cells for 5 columns", fig31Set(goLi, []WorkloadRow{goRow}, []WorkloadRow{fig31Row("li", cols+1)})},
+		{"row of a hand-written table", "reads no workload's trace", with(func(fs []*ShardFile) {
+			fs[0].Experiments[0].Experiment, fs[1].Experiments[0].Experiment = "table3.1", "table3.1"
+		})},
+	}
+}
+
+// TestMergeShardFilesRejectsMalformedSets requires the merge to reject
+// every malformed set for its own reason, and to merge the intact set each
+// differs from.
+func TestMergeShardFilesRejectsMalformedSets(t *testing.T) {
+	if _, err := MergeShardFiles(intactSet()); err != nil {
+		t.Fatalf("intact set: %v", err)
+	}
+	for _, c := range malformedSets() {
+		if _, err := MergeShardFiles(c.files); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want an error containing %q", c.name, err, c.want)
 		}
 	}
 }

@@ -17,10 +17,11 @@ import (
 type Table = stats.Table
 
 // table3.1 and table3.2 have no per-workload cells, so they are written
-// by hand instead of declared (runner.go).
+// by hand instead of declared (runner.go). Neither reads a trace, so no
+// shard runs them: the merge builds them under the artifacts' parameters.
 func init() {
-	register("table3.1", "Table 3.1 — the SPEC95-integer benchmark analogues", table31)
-	register("table3.2", "Table 3.2 — pipeline walk-through of the Figure 3.2 example", table32)
+	register("table3.1", entry{desc: "Table 3.1 — the SPEC95-integer benchmark analogues", run: table31})
+	register("table3.2", entry{desc: "Table 3.2 — pipeline walk-through of the Figure 3.2 example", run: table32})
 }
 
 // table31 renders the benchmark descriptions (Table 3.1).

@@ -263,9 +263,11 @@ func jobNotFound(id string) *apiError {
 
 // handleMerge is POST /v1/merge: recombine a complete set of shard
 // artifacts (a JSON array of shard files, as served by format=shard) into
-// the unsharded tables. Pure table arithmetic — no simulation, no cache
-// interaction — rendered in the requested format, tables separated by a
-// blank line exactly like vpsim -merge.
+// the unsharded tables. Each declared table is built from the shards'
+// workload rows, and the hand-written table3.1 and table3.2, which read no
+// trace, are built under the artifacts' parameters; nothing trace-driven
+// is simulated and no cache is touched. The tables are rendered in the
+// requested format, separated by a blank line exactly like vpsim -merge.
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxMergeBody))
 	if err != nil {
@@ -284,6 +286,18 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 			Message: fmt.Sprintf("request body is not a JSON array of shard files: %v", err),
 		})
 		return
+	}
+	// The merge builds one table per seed of each experiment, so the seeds
+	// of a merge are bounded like those of a run.
+	for _, f := range files {
+		if f != nil && f.Params.Seeds > s.cfg.MaxSeeds {
+			writeError(w, &apiError{
+				status:  http.StatusBadRequest,
+				Code:    "bad_merge",
+				Message: fmt.Sprintf("the artifacts average %d seeds; this server merges at most %d", f.Params.Seeds, s.cfg.MaxSeeds),
+			})
+			return
+		}
 	}
 	merged, err := experiment.MergeShardFiles(files)
 	if err != nil {

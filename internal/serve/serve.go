@@ -103,8 +103,8 @@ type Config struct {
 	// MaxTraceLen rejects requests asking for longer traces; <= 0 means
 	// DefaultMaxTraceLen.
 	MaxTraceLen int
-	// MaxSeeds rejects requests averaging over more seeds; <= 0 means
-	// DefaultMaxSeeds.
+	// MaxSeeds rejects requests, merges included, averaging over more
+	// seeds; <= 0 means DefaultMaxSeeds.
 	MaxSeeds int
 	// CacheDir, when non-empty, enables the persistent second-level table
 	// cache: completed tables are written there as identity-stamped JSON
@@ -802,24 +802,27 @@ func (s *Server) execute(j *jobs.Job) {
 		s.mu.Unlock()
 		s.diskPut(key, spec.id, tab)
 	}
-	if n := s.jobs.Settle(j, result, err); n > 0 {
-		s.m.jobsEvicted.Add(uint64(n))
-	}
 	if err != nil {
 		s.m.jobsFailed.Inc()
 	} else {
 		s.m.jobsCompleted.Inc()
 	}
-	s.syncJobGauges()
 	s.m.inflight.Add(-1)
 	// Hand the slot straight to the next queued job, if any, so the queue
-	// drains FIFO without releasing and re-acquiring the semaphore.
+	// drains FIFO without releasing and re-acquiring the semaphore. This
+	// comes before the job settles: settling answers its waiters, and a
+	// client that sends its next request as soon as it has its answer must
+	// find the slot free, not be shed while this job still holds it.
 	if next, ok := s.jobs.Dequeue(); ok {
 		s.syncJobGauges()
 		s.begin(next)
 	} else {
 		<-s.sem
 	}
+	if n := s.jobs.Settle(j, result, err); n > 0 {
+		s.m.jobsEvicted.Add(uint64(n))
+	}
+	s.syncJobGauges()
 }
 
 // syncJobGauges refreshes the job store gauges after a mutation.

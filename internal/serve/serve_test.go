@@ -440,6 +440,24 @@ func TestPanicReleasesSlot(t *testing.T) {
 	}
 }
 
+// TestSequentialMissesAreNotShed pins the order at the end of a job: it
+// hands its simulation slot on before it settles, so a client that sends
+// its next miss as soon as the previous response arrives finds the slot
+// free, even on a one-slot server. Settling first let such a miss be shed
+// with 429 while the finished job still held the slot.
+func TestSequentialMissesAreNotShed(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxConcurrent: 1})
+	s.run = func(ctx context.Context, id string, rr runRequest) (*stats.Table, error) {
+		return &stats.Table{Title: id, Columns: []string{"seed"}}, nil
+	}
+	for seed := 1; seed <= 300; seed++ {
+		status, _, body := get(t, ts, fmt.Sprintf("/v1/experiments/fig3.1?tracelen=100&workloads=go&seed=%d", seed))
+		if status != http.StatusOK {
+			t.Fatalf("miss %d: status = %d, want 200; body: %s", seed, status, body)
+		}
+	}
+}
+
 // TestPanicSettlesCoalescedFollowers pins that a follower coalesced onto a
 // flight whose leader panics is woken with the structured panic error
 // rather than blocking until its client gives up.

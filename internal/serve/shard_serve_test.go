@@ -86,9 +86,10 @@ func TestShardFormatRequiresShardedServer(t *testing.T) {
 }
 
 // TestMergeEndpointRejectsBadSets covers the merge endpoint's error
-// surface: a non-JSON body, an incomplete shard set, and the two bodies
-// that used to panic the merge (a null shard file, an experiment with no
-// seed runs) and so answered 500 instead of 400.
+// surface: a non-JSON body, an incomplete shard set, a set in the retired
+// version-1 format, one averaging more seeds than the server runs, and the
+// two bodies that used to panic the merge (a null shard file, an
+// experiment with no seed runs) and so answered 500 instead of 400.
 func TestMergeEndpointRejectsBadSets(t *testing.T) {
 	_, ts := newTestServer(t, Config{Shard: plan.Shard{Index: 1, Of: 2}})
 	_, ts0 := newTestServer(t, Config{})
@@ -107,20 +108,22 @@ func TestMergeEndpointRejectsBadSets(t *testing.T) {
 		t.Errorf("incomplete set: status = %d, body = %s", status, body)
 	}
 
-	noRuns := func(i int) string {
-		return fmt.Sprintf(`{"version":1,"shard":{"index":%d,"of":2},`+
-			`"params":{"seed":1,"trace_len":100,"seeds":1,"workloads":["go","li"]},`+
-			`"experiments":[{"experiment":"fig3.1","assigned":[%q],"runs":[]}]}`, i, []string{"go", "li"}[i-1])
+	noRuns := func(version, i, seeds int) string {
+		return fmt.Sprintf(`{"version":%d,"shard":{"index":%d,"of":2},`+
+			`"params":{"seed":1,"trace_len":100,"seeds":%d,"workloads":["go","li"]},`+
+			`"experiments":[{"experiment":"fig3.1","runs":[]}]}`, version, i, seeds)
 	}
-	for _, c := range []struct{ name, body string }{
-		{"null shard file", "[" + strings.TrimSpace(artifact) + ",null]"},
-		{"no seed runs", "[" + noRuns(1) + "," + noRuns(2) + "]"},
-		{"lone null", "[null]"},
-		{"no experiments", `[{"version":1,"shard":{"index":1,"of":1}}]`},
+	for _, c := range []struct{ name, body, want string }{
+		{"null shard file", "[" + strings.TrimSpace(artifact) + ",null]", "is null"},
+		{"no seed runs", "[" + noRuns(2, 1, 1) + "," + noRuns(2, 2, 1) + "]", "no seed runs"},
+		{"version 1", "[" + noRuns(1, 1, 1) + "," + noRuns(1, 2, 1) + "]", "version 1, want 2"},
+		{"more seeds than -max-seeds", "[" + noRuns(2, 1, DefaultMaxSeeds+1) + "," + noRuns(2, 2, DefaultMaxSeeds+1) + "]", "merges at most"},
+		{"lone null", "[null]", "is null"},
+		{"no experiments", `[{"version":2,"shard":{"index":1,"of":1},"params":{"seed":1,"trace_len":100,"seeds":1,"workloads":["go"]}}]`, "no experiments"},
 	} {
 		status, _, body = post(t, ts0, "/v1/merge", c.body)
-		if status != http.StatusBadRequest || errorCode(t, body) != "bad_merge" {
-			t.Errorf("%s: status = %d, body = %s", c.name, status, body)
+		if status != http.StatusBadRequest || errorCode(t, body) != "bad_merge" || !strings.Contains(body, c.want) {
+			t.Errorf("%s: status = %d, body = %s, want 400 bad_merge naming %q", c.name, status, body, c.want)
 		}
 	}
 }

@@ -12,11 +12,14 @@ import (
 // sharded run path (DESIGN.md §14): for EVERY registered experiment, the
 // merge of a complete shard set must render byte-identically to the
 // unsharded run. Three workloads across two shards exercises the uneven
-// round-robin partition (shard 1 owns rows 1 and 3, shard 2 owns row 2),
-// the recomputed average row, the re-rendered aggregate notes (fig5.x),
-// the interleaved per-row notes (table3.1) and the workload-independent
-// replication (table3.2). The artifact also round-trips through its JSON
-// encoding, the way vpsim -shard / -merge moves it between processes.
+// round-robin partition (shard 1 owns rows 1 and 3, shard 2 owns row 2):
+// the merge gathers the shards' workload rows back into presentation
+// order and builds each declared table with the runner's own code, so the
+// average row, the static notes and the aggregate notes (fig5.x, from each
+// row's raw contribution) come out as unsharded; table3.1 and table3.2,
+// which no shard runs, the merge builds itself. The artifact also
+// round-trips through its JSON encoding, the way vpsim -shard / -merge
+// moves it between processes.
 func TestShardedMergeMatchesUnsharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment three times")
@@ -83,11 +86,12 @@ func TestShardedMergeMatchesUnsharded(t *testing.T) {
 }
 
 // TestShardedMergeMatchesUnshardedMultiSeed pins the multi-seed order of
-// operations: shards export per-seed partial tables and the merge averages
-// the reassembled full tables — the same AverageTables call RunSeeds makes
-// — so a sharded -seeds run is also byte-identical. fig5.1 carries the
-// aggregate note (dropped by averaging, exactly as unsharded) and fig3.3
-// the AppendAverage path.
+// operations: shards export per-seed rows and the merge averages the
+// per-seed tables it builds from them — the same AverageTables call
+// RunSeeds makes — so a sharded -seeds run is also byte-identical. fig5.1
+// carries the aggregate note (dropped by averaging, exactly as unsharded),
+// fig3.3 the AppendAverage path, and table3.1 and table3.2 the tables the
+// merge runs itself, once per seed.
 func TestShardedMergeMatchesUnshardedMultiSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two experiments over two seeds three times")
@@ -96,7 +100,7 @@ func TestShardedMergeMatchesUnshardedMultiSeed(t *testing.T) {
 	p.TraceLen = 3_000
 	p.Workloads = []string{"compress95", "li", "go"}
 	p.Store = tracestore.New(0)
-	ids := []string{"fig3.3", "fig5.1"}
+	ids := []string{"fig3.3", "fig5.1", "table3.1", "table3.2"}
 	seeds := []int64{1, 2}
 
 	want := make(map[string]string, len(ids))
@@ -120,6 +124,9 @@ func TestShardedMergeMatchesUnshardedMultiSeed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
+	if len(merged) != len(ids) {
+		t.Fatalf("merged %d experiments, want %d", len(merged), len(ids))
+	}
 	for _, m := range merged {
 		if got := renderAll(t, m.Table); got != want[m.Experiment] {
 			t.Errorf("%s: merged multi-seed render differs from unsharded:\n%s",
@@ -135,7 +142,7 @@ func TestMergeShardFilesRejectsBadSets(t *testing.T) {
 	p.TraceLen = 2_000
 	p.Workloads = []string{"compress95", "li"}
 	p.Store = tracestore.New(0)
-	ids := []string{"table3.1"}
+	ids := []string{"fig3.3"}
 
 	shard := func(i int, pp Params) *ShardFile {
 		f, err := RunExperimentShards(nil, ids, pp, nil, Shard{Index: i, Of: 2})

@@ -464,8 +464,11 @@ func RunExperimentSeedsCtx(ctx context.Context, id string, p Params, seeds []int
 type Shard = plan.Shard
 
 // ShardFile is the artifact a shard run exports (vpsim -shard): the
-// partition identity, the canonical run parameters, and per-experiment,
-// per-seed partial tables plus the raw aggregate-note contributions.
+// partition identity, the canonical run parameters, and per experiment and
+// seed the rows of the workloads the shard owns, each with its cells and
+// its raw contribution to the table's aggregate note. It holds no table:
+// the merge builds every table with the code an unsharded run uses, and
+// builds table3.1 and table3.2, which read no trace, itself.
 type ShardFile = experiment.ShardFile
 
 // MergedShardTable is one experiment's table recombined from a complete
@@ -487,9 +490,10 @@ func RunExperimentShards(ctx context.Context, ids []string, p Params, seeds []in
 }
 
 // MergeShardFiles recombines a complete shard set (all m files of an m-way
-// run, any order) into one table per experiment. The merge replays the
-// unsharded arithmetic in the unsharded order, so the rendered tables are
-// byte-identical to a run without -shard.
+// run, any order) into one table per experiment. The merge builds each
+// table from the shards' rows in presentation order with the unsharded
+// runner's code, so the rendered tables are byte-identical to a run
+// without -shard.
 func MergeShardFiles(files []*ShardFile) ([]MergedShardTable, error) {
 	out, err := experiment.MergeShardFiles(files)
 	if err != nil {
